@@ -11,8 +11,9 @@ EVAL_BENCH = BenchmarkFDRCorrections|BenchmarkOnlineEvalThroughput|BenchmarkEndT
 # gated by bench-allocs. BenchmarkBusPublish also matches
 # BenchmarkBusPublishConsume; BenchmarkGatewayPutPath pins the /api/v1
 # ingest edge through the full middleware chain; BenchmarkDetectorBatch
-# matches every detector family's warmed batch path.
-ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkDetectorBatch|BenchmarkCompressedScan
+# matches every detector family's warmed batch path; BenchmarkRegionScan
+# is one filtered seek-and-merge region read.
+ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkDetectorBatch|BenchmarkCompressedScan|BenchmarkRegionScan
 
 # GATE_BENCHTIME drives the bench-gate comparison runs: long enough for
 # stable ns/op medians, short enough for a PR loop.
@@ -74,7 +75,7 @@ bench-query:
 bench-allocs:
 	@rm -f bench-allocs.out
 	$(GO) test -run '^$$' -bench '$(ALLOC_BENCH)' -benchtime 1x -benchmem \
-		./internal/core/ ./internal/fdr/ ./internal/linalg/ ./internal/bus/ ./internal/query/ ./internal/api/ ./internal/mllib/ ./internal/tsdb/ > bench-allocs.out
+		./internal/core/ ./internal/fdr/ ./internal/linalg/ ./internal/bus/ ./internal/query/ ./internal/api/ ./internal/mllib/ ./internal/tsdb/ ./internal/hbase/ > bench-allocs.out
 	$(GO) run ./cmd/allocgate -pins ALLOC_PINS < bench-allocs.out
 	@rm -f bench-allocs.out
 
@@ -88,7 +89,7 @@ bench-gate:
 	@rm -f bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryCacheHit|BenchmarkQueryColdScatterGather' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/query/ > bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkCompressedScan|BenchmarkBlockCompress' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/tsdb/ >> bench-gate.out
-	$(GO) test -run '^$$' -bench 'BenchmarkOnlineEvalThroughput' -benchtime $(GATE_BENCHTIME) -benchmem . >> bench-gate.out
+	$(GO) test -run '^$$' -bench 'BenchmarkOnlineEvalThroughput|BenchmarkEndToEndPipeline' -benchtime $(GATE_BENCHTIME) -benchmem . >> bench-gate.out
 	$(GO) run ./cmd/benchgate -pins BENCH_PINS -baseline BENCH_query.json -baseline BENCH_evaluation.json -skip BenchmarkLoad < bench-gate.out
 	@rm -f bench-gate.out
 

@@ -6,6 +6,15 @@
 //   - Regions: contiguous row-key ranges served by RegionServers, with
 //     in-memory MemStores flushed to immutable store files in HDFS and
 //     a write-ahead log for crash recovery.
+//   - LSM reads: the MemStore is kept sorted by (Row, Qual) and store
+//     files are sorted by construction, so a scan binary-searches every
+//     source to its start key and a k-way merge iterator yields cells
+//     already ordered and shadowed (newest source wins, delete markers
+//     dropped; a delete of every cell a row shows is one row marker).
+//     The same iterator writes flushes and compactions. A
+//     RowFilter in the ScanRequest runs in the region, once per row, so
+//     rows the caller would discard are never shipped; regions are
+//     disjoint, so the client concatenates their results in key order.
 //   - Bounded RPC queues: RegionServers crash when their inbound queue
 //     overflows persistently (§III-B), which is why the ingestion
 //     pipeline needs the buffering reverse proxy.
@@ -20,7 +29,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Cell is one versioned key-value entry: row key, column qualifier and
@@ -33,7 +41,16 @@ type Cell struct {
 	Qual  []byte
 	Value []byte
 	Tomb  bool
+	// rowTomb marks a row delete marker (Tomb is set too): it shadows
+	// every cell of its row in older sources, while cells its own
+	// source holds for the row are newer and stay visible. Only a
+	// region creates one (see region.del); markers live in memstores,
+	// store files and the WAL, never in a request or a scan result.
+	rowTomb bool
 }
+
+// rowMarker returns the row delete marker for row.
+func rowMarker(row []byte) Cell { return Cell{Row: row, Tomb: true, rowTomb: true} }
 
 // Less orders cells by (Row, Qual).
 func (c Cell) Less(o Cell) bool {
@@ -48,32 +65,13 @@ func (c Cell) Same(o Cell) bool {
 	return bytes.Equal(c.Row, o.Row) && bytes.Equal(c.Qual, o.Qual)
 }
 
-// clone deep-copies a cell so callers can reuse buffers.
+// clone deep-copies a cell so callers can reuse buffers. The three
+// fields share one allocation, each capped at its own length.
 func (c Cell) clone() Cell {
-	return Cell{
-		Row:   append([]byte(nil), c.Row...),
-		Qual:  append([]byte(nil), c.Qual...),
-		Value: append([]byte(nil), c.Value...),
-		Tomb:  c.Tomb,
-	}
-}
-
-// slotKey returns an unambiguous map key for (Row, Qual) using a
-// length prefix (rows may contain any byte, so plain concatenation
-// would collide).
-func slotKey(row, qual []byte) string {
-	var b bytes.Buffer
-	var lp [4]byte
-	binary.BigEndian.PutUint32(lp[:], uint32(len(row)))
-	b.Write(lp[:])
-	b.Write(row)
-	b.Write(qual)
-	return b.String()
-}
-
-// sortCells orders cells by (Row, Qual) in place.
-func sortCells(cells []Cell) {
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Less(cells[j]) })
+	r, q := len(c.Row), len(c.Row)+len(c.Qual)
+	buf := make([]byte, 0, q+len(c.Value))
+	buf = append(append(append(buf, c.Row...), c.Qual...), c.Value...)
+	return Cell{Row: buf[:r:r], Qual: buf[r:q:q], Value: buf[q:], Tomb: c.Tomb, rowTomb: c.rowTomb}
 }
 
 // encodeCells serializes cells for a store file: a length-prefixed
@@ -89,9 +87,12 @@ func encodeCells(cells []Cell) []byte {
 			buf.Write(lp[:])
 			buf.Write(field)
 		}
-		if c.Tomb {
+		switch {
+		case c.rowTomb:
+			buf.WriteByte(2)
+		case c.Tomb:
 			buf.WriteByte(1)
-		} else {
+		default:
 			buf.WriteByte(0)
 		}
 	}
@@ -138,9 +139,12 @@ func decodeCells(data []byte) ([]Cell, error) {
 		if len(data) < 1 {
 			return nil, errCorrupt
 		}
-		tomb := data[0] == 1
+		kind := data[0]
+		if kind > 2 {
+			return nil, errCorrupt
+		}
 		data = data[1:]
-		cells = append(cells, Cell{Row: row, Qual: qual, Value: val, Tomb: tomb})
+		cells = append(cells, Cell{Row: row, Qual: qual, Value: val, Tomb: kind > 0, rowTomb: kind == 2})
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(data))

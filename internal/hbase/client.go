@@ -213,16 +213,22 @@ func (cl *Client) poke(ctx context.Context) {
 	}
 }
 
-// Scan reads [start, end) with no deadline (see ScanContext).
+// Scan reads every row of [start, end) with no deadline (see
+// ScanContext).
 func (cl *Client) Scan(start, end []byte, limit int) ([]Cell, error) {
-	return cl.ScanContext(context.Background(), start, end, limit)
+	return cl.ScanContext(context.Background(), start, end, limit, RowFilter{})
 }
 
-// ScanContext returns all cells in [start, end) across regions, sorted
-// by (Row, Qual). limit <= 0 means unlimited; with a limit, the scan
-// walks regions in order and stops once enough cells are gathered.
-// Unlimited scans are pipelined across the overlapping regions.
-func (cl *Client) ScanContext(ctx context.Context, start, end []byte, limit int) ([]Cell, error) {
+// ScanContext returns the cells in [start, end) across regions, sorted
+// by (Row, Qual), from the rows that pass filter (the zero RowFilter
+// keeps every row; each region applies it before shipping cells).
+// Each region returns its cells already merged and sorted, and regions
+// are disjoint and ordered by start key, so the result is their
+// concatenation in region order. limit <= 0 means unlimited; with a
+// limit, the scan walks regions in order and stops once enough cells
+// are gathered. Unlimited scans are pipelined across the overlapping
+// regions.
+func (cl *Client) ScanContext(ctx context.Context, start, end []byte, limit int, filter RowFilter) ([]Cell, error) {
 	var lastErr error
 	for attempt := 0; attempt <= cl.cfg.MaxRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -252,12 +258,13 @@ func (cl *Client) ScanContext(ctx context.Context, start, end []byte, limit int)
 				overlapping = append(overlapping, ri)
 			}
 		}
+		req := ScanRequest{Start: start, End: end, Limit: limit, Filter: filter}
 		var out []Cell
 		var scanErr error
 		if limit > 0 {
-			out, scanErr = cl.scanSerial(ctx, overlapping, start, end, limit)
+			out, scanErr = cl.scanSerial(ctx, overlapping, req)
 		} else {
-			out, scanErr = cl.scanPipelined(ctx, overlapping, start, end)
+			out, scanErr = cl.scanPipelined(ctx, overlapping, req)
 		}
 		if scanErr != nil {
 			if errors.Is(scanErr, context.Canceled) || errors.Is(scanErr, context.DeadlineExceeded) {
@@ -266,10 +273,6 @@ func (cl *Client) ScanContext(ctx context.Context, start, end []byte, limit int)
 			lastErr = scanErr
 			continue
 		}
-		sortCells(out)
-		if limit > 0 && len(out) > limit {
-			out = out[:limit]
-		}
 		return out, nil
 	}
 	return nil, fmt.Errorf("%w: %v", ErrRetriesExhausted, lastErr)
@@ -277,26 +280,31 @@ func (cl *Client) ScanContext(ctx context.Context, start, end []byte, limit int)
 
 // scanSerial walks regions one at a time so a satisfied limit skips
 // the remaining regions entirely.
-func (cl *Client) scanSerial(ctx context.Context, regions []RegionInfo, start, end []byte, limit int) ([]Cell, error) {
+func (cl *Client) scanSerial(ctx context.Context, regions []RegionInfo, req ScanRequest) ([]Cell, error) {
 	var out []Cell
 	for _, ri := range regions {
-		resp, err := cl.clu.net.Call(ctx, rsAddr(ri.Server), "scan", &ScanRequest{Region: ri.ID, Start: start, End: end, Limit: limit})
+		r := req
+		r.Region = ri.ID
+		resp, err := cl.clu.net.Call(ctx, rsAddr(ri.Server), "scan", &r)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, resp.(*ScanResponse).Cells...)
-		if len(out) >= limit {
-			break
+		if len(out) >= req.Limit {
+			return out[:req.Limit], nil
 		}
 	}
 	return out, nil
 }
 
-// scanPipelined issues every region scan concurrently and merges.
-func (cl *Client) scanPipelined(ctx context.Context, regions []RegionInfo, start, end []byte) ([]Cell, error) {
+// scanPipelined issues every region scan concurrently and concatenates
+// the results in region order.
+func (cl *Client) scanPipelined(ctx context.Context, regions []RegionInfo, req ScanRequest) ([]Cell, error) {
 	futs := make([]*rpc.Future, len(regions))
 	for i, ri := range regions {
-		futs[i] = cl.clu.net.Go(ctx, rsAddr(ri.Server), "scan", &ScanRequest{Region: ri.ID, Start: start, End: end})
+		r := req
+		r.Region = ri.ID
+		futs[i] = cl.clu.net.Go(ctx, rsAddr(ri.Server), "scan", &r)
 	}
 	var out []Cell
 	var firstErr error

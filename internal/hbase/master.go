@@ -368,7 +368,7 @@ func (m *Master) Split(regionID int, splitKey []byte) error {
 	if err != nil {
 		return err
 	}
-	cells := parentRegion.scan(nil, nil, 0)
+	cells := parentRegion.scan(nil, nil, 0, nil)
 	live := m.liveServers()
 	m.mu.Lock()
 	left := &RegionInfo{ID: m.nextID, Start: p.Start, End: splitKey}

@@ -26,11 +26,13 @@ type (
 		Region int
 		Cells  []Cell
 	}
-	// ScanRequest reads a key range from one region.
+	// ScanRequest reads a key range from one region, keeping only the
+	// rows that pass Filter (the zero value keeps every row).
 	ScanRequest struct {
 		Region     int
 		Start, End []byte
 		Limit      int
+		Filter     RowFilter
 	}
 	// ScanResponse carries the matching cells.
 	ScanResponse struct {
@@ -157,15 +159,7 @@ func (rs *RegionServer) handle(_ context.Context, method string, payload any) (a
 	case "put":
 		return nil, rs.handlePut(payload.(*PutRequest))
 	case "delete":
-		del := payload.(*DeleteRequest)
-		cells := make([]Cell, len(del.Cells))
-		for i, c := range del.Cells {
-			cc := c.clone()
-			cc.Tomb = true
-			cc.Value = nil
-			cells[i] = cc
-		}
-		return nil, rs.handlePut(&PutRequest{Region: del.Region, Cells: cells})
+		return nil, rs.handleDelete(payload.(*DeleteRequest))
 	case "scan":
 		return rs.handleScan(payload.(*ScanRequest))
 	case "open":
@@ -205,18 +199,51 @@ func (rs *RegionServer) handlePut(req *PutRequest) error {
 	// gives the cluster a calibrated per-node throughput ceiling.
 	rs.bucket.Take(float64(len(req.Cells)))
 	// WAL first (durability), then memstore.
+	// The WAL and the memstore share one private copy of each cell, so
+	// the caller may reuse its buffers.
 	seq := rs.seq.Add(1)
+	cells := make([]Cell, len(req.Cells))
 	entries := make([]walEntry, len(req.Cells))
 	for i, c := range req.Cells {
-		entries[i] = walEntry{Region: req.Region, Seq: seq, Cell: c.clone()}
+		cells[i] = c.clone()
+		entries[i] = walEntry{Region: req.Region, Seq: seq, Cell: cells[i]}
 	}
 	rs.clu.wal.Append(rs.name, entries)
-	r.put(req.Cells, seq)
+	r.put(cells, seq)
 	rs.CellsWritten.Add(int64(len(req.Cells)))
-	if th := rs.clu.cfg.FlushThresholdBytes; th > 0 && r.memSize() > th {
-		if err := rs.flushRegion(r); err != nil {
-			return err
+	return rs.flushIfFull(r)
+}
+
+// handleDelete is handlePut for delete markers: the region picks the
+// markers (see region.del) and logs them before applying them.
+func (rs *RegionServer) handleDelete(req *DeleteRequest) error {
+	r, err := rs.lookup(req.Region)
+	if err != nil {
+		return err
+	}
+	rs.bucket.Take(float64(len(req.Cells)))
+	seq := rs.seq.Add(1)
+	cells := make([]Cell, len(req.Cells))
+	for i, c := range req.Cells {
+		c.Value = nil
+		cells[i] = c.clone()
+		cells[i].Tomb = true
+	}
+	r.del(cells, seq, func(markers []Cell) {
+		entries := make([]walEntry, len(markers))
+		for i, c := range markers {
+			entries[i] = walEntry{Region: req.Region, Seq: seq, Cell: c}
 		}
+		rs.clu.wal.Append(rs.name, entries)
+	})
+	rs.CellsWritten.Add(int64(len(req.Cells)))
+	return rs.flushIfFull(r)
+}
+
+// flushIfFull flushes r once its memstore outgrows the threshold.
+func (rs *RegionServer) flushIfFull(r *region) error {
+	if th := rs.clu.cfg.FlushThresholdBytes; th > 0 && r.memSize() > th {
+		return rs.flushRegion(r)
 	}
 	return nil
 }
@@ -227,7 +254,7 @@ func (rs *RegionServer) handleScan(req *ScanRequest) (*ScanResponse, error) {
 		return nil, err
 	}
 	rs.Scans.Inc()
-	return &ScanResponse{Cells: r.scan(req.Start, req.End, req.Limit)}, nil
+	return &ScanResponse{Cells: r.scan(req.Start, req.End, req.Limit, &req.Filter)}, nil
 }
 
 func (rs *RegionServer) handleOpen(req *OpenRequest) error {

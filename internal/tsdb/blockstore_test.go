@@ -660,3 +660,43 @@ func TestCompressionSoak(t *testing.T) {
 }
 
 func soakEnv() bool { return os.Getenv("TSDB_SOAK") == "1" }
+
+// TestSealPagesThroughRows seals with pages smaller than a row and
+// with pages ending inside rows: every closed row seals exactly once,
+// the open hour stays hot, and queries return every sample.
+func TestSealPagesThroughRows(t *testing.T) {
+	defer func(n int) { sealPage = n }(sealPage)
+	for _, page := range []int{100, 5000} {
+		sealPage = page
+		d, bs := sealedDeployment(t, BlockStoreConfig{})
+		tsd := d.TSDs()[0]
+		var pts [][]Point
+		for u := 1; u <= 3; u++ {
+			pts = append(pts, putHours(t, d, u, 1, 2))
+		}
+		n, err := tsd.CompactRows(rowBaseSeconds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 3 || bs.SamplesSealed.Value() != 3*rowBaseSeconds {
+			t.Fatalf("page %d: sealed %d rows / %d samples, want 3 / %d", page, n, bs.SamplesSealed.Value(), 3*rowBaseSeconds)
+		}
+		for u := 1; u <= 3; u++ {
+			series, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(u, 1), Start: 0, End: 2*rowBaseSeconds - 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(series) != 1 || len(series[0].Samples) != len(pts[u-1]) {
+				t.Fatalf("page %d unit %d: got %d series", page, u, len(series))
+			}
+			for i, s := range series[0].Samples {
+				if s.Timestamp != pts[u-1][i].Timestamp || s.Value != pts[u-1][i].Value {
+					t.Fatalf("page %d unit %d sample %d = %+v, want %+v", page, u, i, s, pts[u-1][i])
+				}
+			}
+		}
+		if n, err := tsd.CompactRows(rowBaseSeconds); err != nil || n != 0 {
+			t.Fatalf("page %d: second pass sealed %d rows (%v), want 0", page, n, err)
+		}
+	}
+}

@@ -126,65 +126,126 @@ type decoded struct {
 // samples. Cells that do not parse as data (e.g. UID meta rows) return
 // a nil slice and no error.
 func (c *Codec) Decode(cell hbase.Cell) ([]decoded, error) {
-	key := cell.Row
+	hdr, ok, err := c.decodeRow(cell.Row)
+	if !ok || err != nil {
+		return nil, err
+	}
+	samples, err := appendSamples(nil, hdr.base, cell, math.MinInt64, math.MaxInt64)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]decoded, len(samples))
+	for i, s := range samples {
+		out[i] = decoded{metric: hdr.metric, tags: hdr.tags, ts: s.Timestamp, value: s.Value}
+	}
+	return out, nil
+}
+
+// rowHeader is a data row key resolved to names: the series the row
+// belongs to and the hour it covers. A scan returns a row's cells
+// together, so readers resolve the header once per row.
+type rowHeader struct {
+	metric string
+	tags   map[string]string
+	base   int64
+}
+
+// decodeRow resolves a row key. ok is false for rows that are not data
+// (UID meta rows).
+func (c *Codec) decodeRow(key []byte) (hdr rowHeader, ok bool, err error) {
 	if len(key) == 0 || key[0] == metaPrefix {
-		return nil, nil
+		return hdr, false, nil
 	}
 	if c.SaltBuckets > 0 {
-		if len(key) < 1 {
-			return nil, nil
-		}
 		key = key[1:]
 	}
 	if len(key) < uidWidth+4 || (len(key)-uidWidth-4)%(2*uidWidth) != 0 {
-		return nil, fmt.Errorf("tsdb: bad row key length %d", len(key))
+		return hdr, false, fmt.Errorf("tsdb: bad row key length %d", len(key))
 	}
 	metricUID := readUID(key[:uidWidth])
 	metric, ok := c.uids.Name(kindMetric, metricUID)
 	if !ok {
-		return nil, fmt.Errorf("%w: uid %d", ErrNoSuchMetric, metricUID)
+		return hdr, false, fmt.Errorf("%w: uid %d", ErrNoSuchMetric, metricUID)
 	}
-	base := int64(binary.BigEndian.Uint32(key[uidWidth : uidWidth+4]))
-	tags := make(map[string]string)
+	tags := make(map[string]string, (len(key)-uidWidth-4)/(2*uidWidth))
 	for rest := key[uidWidth+4:]; len(rest) > 0; rest = rest[2*uidWidth:] {
 		ku := readUID(rest[:uidWidth])
 		vu := readUID(rest[uidWidth : 2*uidWidth])
 		kname, ok1 := c.uids.Name(kindTagK, ku)
 		vname, ok2 := c.uids.Name(kindTagV, vu)
 		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("tsdb: dangling tag uid (%d,%d)", ku, vu)
+			return hdr, false, fmt.Errorf("tsdb: dangling tag uid (%d,%d)", ku, vu)
 		}
 		tags[kname] = vname
 	}
+	base := int64(binary.BigEndian.Uint32(key[uidWidth : uidWidth+4]))
+	return rowHeader{metric: metric, tags: tags, base: base}, true, nil
+}
+
+// appendSamples decodes one cell of a row with base time base onto
+// dst, keeping the samples whose timestamps fall in [lo, hi].
+func appendSamples(dst []Sample, base int64, cell hbase.Cell, lo, hi int64) ([]Sample, error) {
 	// Row-compacted wide cell: qualifier 0xFF 0xFF, value is a packed
 	// list of (offset u16, value f64) pairs.
 	if len(cell.Qual) == 2 && cell.Qual[0] == 0xFF && cell.Qual[1] == 0xFF {
 		if len(cell.Value)%10 != 0 {
-			return nil, fmt.Errorf("tsdb: bad compacted cell size %d", len(cell.Value))
+			return dst, fmt.Errorf("tsdb: bad compacted cell size %d", len(cell.Value))
 		}
-		out := make([]decoded, 0, len(cell.Value)/10)
 		for v := cell.Value; len(v) > 0; v = v[10:] {
-			off := binary.BigEndian.Uint16(v[:2])
-			bits := binary.BigEndian.Uint64(v[2:10])
-			out = append(out, decoded{
-				metric: metric, tags: tags,
-				ts:    base + int64(off),
-				value: math.Float64frombits(bits),
-			})
+			ts := base + int64(binary.BigEndian.Uint16(v[:2]))
+			if ts >= lo && ts <= hi {
+				dst = append(dst, Sample{Timestamp: ts, Value: math.Float64frombits(binary.BigEndian.Uint64(v[2:10]))})
+			}
 		}
-		return out, nil
+		return dst, nil
 	}
 	if len(cell.Qual) != 2 || len(cell.Value) != 8 {
-		return nil, fmt.Errorf("tsdb: bad cell shape qual=%d val=%d", len(cell.Qual), len(cell.Value))
+		return dst, fmt.Errorf("tsdb: bad cell shape qual=%d val=%d", len(cell.Qual), len(cell.Value))
 	}
-	off := binary.BigEndian.Uint16(cell.Qual)
-	bits := binary.BigEndian.Uint64(cell.Value)
-	return []decoded{{metric: metric, tags: tags, ts: base + int64(off), value: math.Float64frombits(bits)}}, nil
+	ts := base + int64(binary.BigEndian.Uint16(cell.Qual))
+	if ts >= lo && ts <= hi {
+		dst = append(dst, Sample{Timestamp: ts, Value: math.Float64frombits(binary.BigEndian.Uint64(cell.Value))})
+	}
+	return dst, nil
+}
+
+// tagFilter turns a query's tag filter into the region-side row
+// filter: each tag becomes its (key UID, value UID) pair, which a
+// matching row carries at some pair-aligned offset past the metric UID
+// and base time. ok is false when a tag names a key or value that was
+// never interned, so no stored row can match. Tags with an empty value
+// are left to tagsMatch (they match series lacking the key).
+func (c *Codec) tagFilter(tags map[string]string) (f hbase.RowFilter, ok bool) {
+	f = hbase.RowFilter{Offset: uidWidth + 4, Stride: 2 * uidWidth}
+	if c.SaltBuckets > 0 {
+		f.Offset++
+	}
+	for k, v := range tags {
+		if v == "" {
+			continue
+		}
+		ku, ok1 := c.uids.Lookup(kindTagK, k)
+		vu, ok2 := c.uids.Lookup(kindTagV, v)
+		if !ok1 || !ok2 {
+			return f, false
+		}
+		frag := make([]byte, 2*uidWidth)
+		putUID(frag, ku)
+		putUID(frag[uidWidth:], vu)
+		f.Require = append(f.Require, frag)
+	}
+	return f, true
 }
 
 // rowRanges returns the scan ranges covering metric UID mu over
 // [start, end] — one range per salt bucket (or a single unsalted one).
+// Stored timestamps are never negative, so a negative start is read
+// as 0 (and a window ending before 0 needs no scan).
 func (c *Codec) rowRanges(mu uint32, start, end int64) [][2][]byte {
+	start = max(start, 0)
+	if end < start {
+		return nil
+	}
 	baseStart := start - start%rowBaseSeconds
 	baseEnd := end - end%rowBaseSeconds
 	var u [uidWidth]byte

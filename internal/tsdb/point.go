@@ -11,7 +11,8 @@
 //     finding that unlocked full RegionServer utilization;
 //   - TSD daemons, one per storage node, each writing through its own
 //     HBase client;
-//   - queries with tag filters, time ranges, downsampling and
+//   - queries with tag filters (pushed into the region scans as row
+//     filters over the tag UID pairs), time ranges, downsampling and
 //     aggregation across salt buckets;
 //   - optional OpenTSDB-style row compaction (merging a row's columns
 //     into one wide cell), which the paper disabled to cut RPC volume.

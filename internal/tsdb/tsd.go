@@ -1,9 +1,11 @@
 package tsdb
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -347,7 +349,8 @@ func (t *TSD) Query(q Query) ([]Series, error) {
 }
 
 // QueryContext scans the row ranges for the metric (across all salt
-// buckets), decodes, filters by tags, groups into series and
+// buckets) with the query's tags pushed into the regions as a row
+// filter, decodes each returned row once, groups into series and
 // optionally downsamples.
 func (t *TSD) QueryContext(ctx context.Context, q Query) ([]Series, error) {
 	t.QueriesServed.Inc()
@@ -357,15 +360,19 @@ func (t *TSD) QueryContext(ctx context.Context, q Query) ([]Series, error) {
 		}
 	}
 	mu, ok := t.codec.uids.Lookup(kindMetric, q.Metric)
-	if !ok {
+	filter, hot := t.codec.tagFilter(q.Tags)
+	if !ok || !hot {
 		// Unknown locally; try reloading persisted UIDs once (another
-		// TSD may have interned it).
+		// TSD may have interned the metric or a tag).
 		if err := t.codec.uids.Reload(); err != nil {
 			return nil, err
 		}
 		if mu, ok = t.codec.uids.Lookup(kindMetric, q.Metric); !ok {
 			return nil, fmt.Errorf("%w: %s", ErrNoSuchMetric, q.Metric)
 		}
+		// A tag still unknown matches no hot row; the sealed tier,
+		// keyed by name, is still consulted below.
+		filter, hot = t.codec.tagFilter(q.Tags)
 	}
 	grouped := make(map[string]*Series)
 	// The sealed tier contributes first: wide downsampled windows come
@@ -380,31 +387,35 @@ func (t *TSD) QueryContext(ctx context.Context, q Query) ([]Series, error) {
 	if err := bs.collect(ctx, q, grouped, pre); err != nil {
 		return nil, err
 	}
-	for _, rng := range t.codec.rowRanges(mu, q.Start, q.End) {
-		cells, err := t.client.ScanContext(ctx, rng[0], rng[1], 0)
+	var ranges [][2][]byte
+	if hot {
+		ranges = t.codec.rowRanges(mu, q.Start, q.End)
+	}
+	for _, rng := range ranges {
+		cells, err := t.client.ScanContext(ctx, rng[0], rng[1], 0, filter)
 		if err != nil {
 			return nil, err
 		}
-		for _, cell := range cells {
-			samples, err := t.codec.Decode(cell)
-			if err != nil {
-				return nil, err
+		err = eachRow(cells, func(row []hbase.Cell) error {
+			hdr, ok, err := t.codec.decodeRow(row[0].Row)
+			if !ok || err != nil || !tagsMatch(q.Tags, hdr.tags) {
+				return err
 			}
-			for _, s := range samples {
-				if s.ts < q.Start || s.ts > q.End {
-					continue
-				}
-				if !tagsMatch(q.Tags, s.tags) {
-					continue
-				}
-				id := seriesID(s.metric, s.tags)
-				ser, ok := grouped[id]
-				if !ok {
-					ser = &Series{Metric: s.metric, Tags: s.tags}
-					grouped[id] = ser
-				}
-				ser.Samples = append(ser.Samples, Sample{Timestamp: s.ts, Value: s.value})
+			id := seriesID(hdr.metric, hdr.tags)
+			ser, ok := grouped[id]
+			if !ok {
+				ser = &Series{Metric: hdr.metric, Tags: hdr.tags}
+				grouped[id] = ser
 			}
+			for _, cell := range row {
+				if ser.Samples, err = appendSamples(ser.Samples, hdr.base, cell, q.Start, q.End); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	out := make([]Series, 0, len(grouped))
@@ -545,29 +556,24 @@ func (t *TSD) CompactRowsContext(ctx context.Context, beforeBase int64) (int, er
 		return 0, nil
 	}
 	// Scan everything below the meta prefix (data rows only).
-	cells, err := t.client.ScanContext(ctx, nil, []byte{metaPrefix}, 0)
+	cells, err := t.client.ScanContext(ctx, nil, []byte{metaPrefix}, 0, hbase.RowFilter{})
 	if err != nil {
 		return 0, err
 	}
-	byRow := make(map[string][]hbase.Cell)
-	for _, c := range cells {
-		if len(c.Qual) == 2 && c.Qual[0] == 0xFF && c.Qual[1] == 0xFF {
-			continue // already compacted
-		}
-		byRow[string(c.Row)] = append(byRow[string(c.Row)], c)
-	}
 	compacted := 0
-	for _, rowCells := range byRow {
+	err = eachRow(cells, func(rowCells []hbase.Cell) error {
+		// Qualifiers sort as big-endian offsets, and an already
+		// compacted row's 0xFFFF wide cell sorts last.
+		if last := rowCells[len(rowCells)-1].Qual; len(last) == 2 && last[0] == 0xFF && last[1] == 0xFF {
+			rowCells = rowCells[:len(rowCells)-1]
+		}
 		if len(rowCells) < 2 {
-			continue
+			return nil
 		}
 		base, ok := t.codec.rowBase(rowCells[0].Row)
 		if !ok || base >= beforeBase {
-			continue
+			return nil
 		}
-		sort.Slice(rowCells, func(i, j int) bool {
-			return binary.BigEndian.Uint16(rowCells[i].Qual) < binary.BigEndian.Uint16(rowCells[j].Qual)
-		})
 		wide := make([]byte, 0, len(rowCells)*10)
 		for _, c := range rowCells {
 			wide = append(wide, c.Qual...)
@@ -575,16 +581,21 @@ func (t *TSD) CompactRowsContext(ctx context.Context, beforeBase int64) (int, er
 		}
 		wideCell := hbase.Cell{Row: rowCells[0].Row, Qual: []byte{0xFF, 0xFF}, Value: wide}
 		if err := t.client.PutContext(ctx, []hbase.Cell{wideCell}); err != nil {
-			return compacted, err
+			return err
 		}
 		if err := t.client.DeleteContext(ctx, rowCells); err != nil {
-			return compacted, err
+			return err
 		}
 		t.RowsCompacted.Inc()
 		compacted++
-	}
-	return compacted, nil
+		return nil
+	})
+	return compacted, err
 }
+
+// sealPage is how many cells one seal-pass scan reads (a variable so
+// tests can page through small tables).
+var sealPage = 1 << 16
 
 // sealRows moves every data row with base time strictly older than
 // beforeBase into the compressed sealed tier: decode the row's cells
@@ -592,50 +603,94 @@ func (t *TSD) CompactRowsContext(ctx context.Context, beforeBase int64) (int, er
 // store, then delete the raw cells. A row is only deleted after its
 // block is durably in the store, so a crash between the two steps
 // leaves duplicate data (deduped at read time), never a hole.
+//
+// The pass pages through the table sealPage cells at a time, so it
+// holds one page of the hot tier in memory, not all of it.
 func (t *TSD) sealRows(ctx context.Context, bs *BlockStore, beforeBase int64) (int, error) {
-	cells, err := t.client.ScanContext(ctx, nil, []byte{metaPrefix}, 0)
-	if err != nil {
-		return 0, err
-	}
-	byRow := make(map[string][]hbase.Cell)
-	for _, c := range cells {
-		byRow[string(c.Row)] = append(byRow[string(c.Row)], c)
-	}
 	sealed := 0
-	for _, rowCells := range byRow {
-		if err := ctx.Err(); err != nil {
+	var start []byte
+	for limit := sealPage; ; {
+		cells, err := t.client.ScanContext(ctx, start, []byte{metaPrefix}, limit, hbase.RowFilter{})
+		if err != nil {
 			return sealed, err
+		}
+		if len(cells) < limit { // the last page
+			n, err := t.sealCells(ctx, bs, beforeBase, cells)
+			return sealed + n, err
+		}
+		// The page may end inside its last row: seal the rows before
+		// it and start the next page there. A row filling the whole
+		// page doubles the page instead.
+		last := len(cells) - 1
+		for last > 0 && bytes.Equal(cells[last-1].Row, cells[last].Row) {
+			last--
+		}
+		if last == 0 {
+			limit *= 2
+			continue
+		}
+		n, err := t.sealCells(ctx, bs, beforeBase, cells[:last])
+		sealed += n
+		if err != nil {
+			return sealed, err
+		}
+		start = cells[last].Row
+	}
+}
+
+// sealCells seals the whole rows in cells that are older than
+// beforeBase, returning how many it sealed.
+func (t *TSD) sealCells(ctx context.Context, bs *BlockStore, beforeBase int64, cells []hbase.Cell) (int, error) {
+	sealed := 0
+	err := eachRow(cells, func(rowCells []hbase.Cell) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		base, ok := t.codec.rowBase(rowCells[0].Row)
 		if !ok || base >= beforeBase {
-			continue
+			return nil
 		}
-		var metric string
-		var tags map[string]string
+		hdr, ok, err := t.codec.decodeRow(rowCells[0].Row)
+		if !ok || err != nil {
+			return err
+		}
 		samples := make([]Sample, 0, len(rowCells))
 		for _, c := range rowCells {
-			decodedCells, err := t.codec.Decode(c)
-			if err != nil {
-				return sealed, err
-			}
-			for _, s := range decodedCells {
-				metric, tags = s.metric, s.tags
-				samples = append(samples, Sample{Timestamp: s.ts, Value: s.value})
+			if samples, err = appendSamples(samples, hdr.base, c, math.MinInt64, math.MaxInt64); err != nil {
+				return err
 			}
 		}
 		if len(samples) == 0 {
-			continue
+			return nil
 		}
-		if err := bs.Seal(metric, tags, samples); err != nil {
-			return sealed, err
+		if err := bs.Seal(hdr.metric, hdr.tags, samples); err != nil {
+			return err
 		}
 		if err := t.client.DeleteContext(ctx, rowCells); err != nil {
-			return sealed, err
+			return err
 		}
 		t.RowsCompacted.Inc()
 		sealed++
+		return nil
+	})
+	return sealed, err
+}
+
+// eachRow calls fn with each run of consecutive cells sharing a row
+// key, stopping at the first error. Scans return a row's cells
+// together and in qualifier order.
+func eachRow(cells []hbase.Cell, fn func(row []hbase.Cell) error) error {
+	for i := 0; i < len(cells); {
+		j := i + 1
+		for j < len(cells) && bytes.Equal(cells[j].Row, cells[i].Row) {
+			j++
+		}
+		if err := fn(cells[i:j:j]); err != nil {
+			return err
+		}
+		i = j
 	}
-	return sealed, nil
+	return nil
 }
 
 // rowBase extracts the base time from a data row key.

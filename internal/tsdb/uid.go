@@ -3,6 +3,7 @@ package tsdb
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hbase"
 )
@@ -38,21 +39,48 @@ type UIDTable struct {
 	// allocation the write lock.
 	mu      sync.RWMutex
 	forward map[uidKind]map[string]uint32
-	reverse map[uidKind]map[uint32]string
 	next    map[uidKind]uint32
+	// names is each kind's reverse dictionary: an id-indexed slice
+	// ("" = unassigned; names are never empty) published through an
+	// atomic pointer, so Name — once per decoded row — takes no lock.
+	// Writers hold mu and either write only past the published length
+	// or publish a fresh slice, so a reader's view never changes under
+	// it. The map itself is fixed at construction.
+	names map[uidKind]*atomic.Pointer[[]string]
 }
 
 // NewUIDTable returns a UID table writing through cl.
 func NewUIDTable(cl *hbase.Client) *UIDTable {
-	u := &UIDTable{client: cl}
-	u.resetMaps()
+	u := &UIDTable{client: cl, names: make(map[uidKind]*atomic.Pointer[[]string])}
+	u.forward, u.next = emptyDicts()
+	for _, kind := range []uidKind{kindMetric, kindTagK, kindTagV} {
+		u.names[kind] = new(atomic.Pointer[[]string])
+		u.names[kind].Store(new([]string))
+	}
 	return u
 }
 
-func (u *UIDTable) resetMaps() {
-	u.forward = map[uidKind]map[string]uint32{kindMetric: {}, kindTagK: {}, kindTagV: {}}
-	u.reverse = map[uidKind]map[uint32]string{kindMetric: {}, kindTagK: {}, kindTagV: {}}
-	u.next = map[uidKind]uint32{kindMetric: 1, kindTagK: 1, kindTagV: 1}
+// emptyDicts returns empty forward and next-id dictionaries for every
+// kind.
+func emptyDicts() (map[uidKind]map[string]uint32, map[uidKind]uint32) {
+	return map[uidKind]map[string]uint32{kindMetric: {}, kindTagK: {}, kindTagV: {}},
+		map[uidKind]uint32{kindMetric: 1, kindTagK: 1, kindTagV: 1}
+}
+
+// setName records id → name in kind's reverse slice and publishes it.
+// Callers hold mu and pass an id at or past the published length.
+func (u *UIDTable) setName(kind uidKind, id uint32, name string) {
+	s := withName(*u.names[kind].Load(), id, name)
+	u.names[kind].Store(&s)
+}
+
+// withName returns s with s[id] = name, growing it as needed.
+func withName(s []string, id uint32, name string) []string {
+	for uint32(len(s)) <= id {
+		s = append(s, "")
+	}
+	s[id] = name
+	return s
 }
 
 // uidRow builds the persistence row key for one assignment.
@@ -82,7 +110,7 @@ func (u *UIDTable) GetOrCreate(kind uidKind, name string) (uint32, error) {
 	}
 	u.next[kind] = id + 1
 	u.forward[kind][name] = id
-	u.reverse[kind][id] = name
+	u.setName(kind, id, name)
 	u.mu.Unlock()
 
 	var val [uidWidth]byte
@@ -104,10 +132,15 @@ func (u *UIDTable) Lookup(kind uidKind, name string) (uint32, bool) {
 
 // Name resolves a UID back to its string.
 func (u *UIDTable) Name(kind uidKind, id uint32) (string, bool) {
-	u.mu.RLock()
-	defer u.mu.RUnlock()
-	name, ok := u.reverse[kind][id]
-	return name, ok
+	p := u.names[kind]
+	if p == nil {
+		return "", false
+	}
+	s := *p.Load()
+	if id >= uint32(len(s)) || s[id] == "" {
+		return "", false
+	}
+	return s[id], true
 }
 
 // Reload rebuilds the in-memory dictionaries from the persisted rows,
@@ -121,7 +154,8 @@ func (u *UIDTable) Reload() error {
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	u.resetMaps()
+	forward, next := emptyDicts()
+	names := make(map[uidKind][]string)
 	for _, c := range cells {
 		if len(c.Row) < 4 || len(c.Value) != uidWidth {
 			continue
@@ -129,14 +163,19 @@ func (u *UIDTable) Reload() error {
 		kind := uidKind(c.Row[2])
 		name := string(c.Row[3:])
 		id := readUID(c.Value)
-		if _, ok := u.forward[kind]; !ok {
+		if _, ok := forward[kind]; !ok {
 			continue
 		}
-		u.forward[kind][name] = id
-		u.reverse[kind][id] = name
-		if id >= u.next[kind] {
-			u.next[kind] = id + 1
+		forward[kind][name] = id
+		names[kind] = withName(names[kind], id, name)
+		if id >= next[kind] {
+			next[kind] = id + 1
 		}
+	}
+	u.forward, u.next = forward, next
+	for kind, p := range u.names {
+		s := names[kind]
+		p.Store(&s)
 	}
 	return nil
 }
