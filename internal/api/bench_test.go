@@ -1,13 +1,16 @@
 package api
 
 import (
+	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/admission"
+	v1 "repro/internal/api/v1"
 	"repro/internal/bus"
 	"repro/internal/hbase"
 	"repro/internal/ingest"
@@ -174,4 +177,43 @@ func BenchmarkGatewayCachedQuery(b *testing.B) {
 			b.Fatalf("status = %d", rec.Code)
 		}
 	}
+}
+
+// BenchmarkGatewayMachineView records the compression trade on the
+// dashboard's main read: one machine view of 50 sensors × 60 samples
+// (~120 KB of JSON at full float precision, pre-encoded so only the
+// compression is timed) through the Gzip middleware. It reports the
+// compressed size next to ns/op, the two sides of the pool's
+// compression level.
+func BenchmarkGatewayMachineView(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	view := v1.MachineView{Unit: 3, Status: "ok", Sensors: make([]v1.SensorSeries, 50)}
+	for s := range view.Sensors {
+		ss := v1.SensorSeries{Sensor: s, Samples: make([]v1.Sample, 60), Anomalies: []v1.Sample{}}
+		for i := range ss.Samples {
+			ss.Samples[i] = v1.Sample{Timestamp: 1_700_000_000 + int64(i), Value: 500 + 20*rng.NormFloat64()}
+		}
+		ss.Latest = ss.Samples[59].Value
+		view.Sensors[s] = ss
+	}
+	body, err := json.Marshal(view)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := Gzip()(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", v1.ContentTypeJSON)
+		_, _ = w.Write(body)
+	}))
+	var compressed int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest("GET", "/api/v1/machines/3", nil)
+		req.Header.Set("Accept-Encoding", "gzip")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		compressed = rec.Body.Len()
+	}
+	b.ReportMetric(float64(len(body)), "json-B")
+	b.ReportMetric(float64(compressed), "gzip-B")
 }

@@ -13,7 +13,8 @@
 //     dropped; a delete of every cell a row shows is one row marker).
 //     The same iterator writes flushes and compactions. A
 //     RowFilter in the ScanRequest runs in the region, once per row, so
-//     rows the caller would discard are never shipped; regions are
+//     rows the caller would discard are never shipped, and its time
+//     window trims each row to the cells the caller keeps; regions are
 //     disjoint, so the client concatenates their results in key order.
 //   - Bounded RPC queues: RegionServers crash when their inbound queue
 //     overflows persistently (§III-B), which is why the ingestion

@@ -8,11 +8,14 @@ import (
 // memRow is one row of a sorted source: its cells ordered by
 // qualifier, at most one per qualifier. cleared records a row delete
 // marker: the row's cells in older sources are deleted, its cells here
-// are newer than the marker.
+// are newer than the marker. oddQual records that some qualifier the
+// row has held is not 2 bytes long, so a TimeWindow cannot trim the
+// row by binary search.
 type memRow struct {
 	row     []byte
 	cells   []Cell
 	cleared bool
+	oddQual bool
 }
 
 // run is a sorted, slot-unique source for the merge iterator: rows in
@@ -43,6 +46,9 @@ func rowsOf(cells []Cell) run {
 		mr := &memRow{row: cells[i].Row, cells: cells[i:j:j]}
 		if cells[i].rowTomb {
 			mr.cleared, mr.cells = true, mr.cells[1:]
+		}
+		for _, c := range mr.cells {
+			mr.oddQual = mr.oddQual || len(c.Qual) != 2
 		}
 		rn = append(rn, mr)
 		i = j
@@ -91,6 +97,7 @@ func (m *memstore) put(c Cell) {
 		mr.cells, mr.cleared = nil, true
 		return
 	}
+	mr.oddQual = mr.oddQual || len(c.Qual) != 2
 	i := len(mr.cells)
 	if i > 0 && bytes.Compare(mr.cells[i-1].Qual, c.Qual) >= 0 {
 		var found bool

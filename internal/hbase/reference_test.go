@@ -165,7 +165,7 @@ func (r *refRegion) scan(start, end []byte, limit int, f *RowFilter) []Cell {
 	overlay(merged, r.memCells(), start, end)
 	out := make([]Cell, 0, len(merged))
 	for _, c := range merged {
-		if c.Tomb || !f.Match(c.Row) {
+		if c.Tomb || !f.Match(c.Row) || (f != nil && !refKeeps(f.Window, c.Row, c.Qual)) {
 			continue
 		}
 		out = append(out, c)
@@ -175,6 +175,22 @@ func (r *refRegion) scan(start, end []byte, limit int, f *RowFilter) []Cell {
 		out = out[:limit]
 	}
 	return out
+}
+
+// refKeeps restates TimeWindow's keep rule for the oracle: a cell is
+// dropped only when its row carries a base time at BaseAt, its
+// qualifier is a 2-byte offset below Span, and base+offset falls
+// outside [From, To].
+func refKeeps(w TimeWindow, row, qual []byte) bool {
+	if w.Span <= 0 || w.BaseAt < 0 || len(row) < w.BaseAt+4 || len(qual) != 2 {
+		return true
+	}
+	off := int64(qual[0])<<8 | int64(qual[1])
+	if off >= w.Span {
+		return true
+	}
+	ts := int64(binary.BigEndian.Uint32(row[w.BaseAt:])) + off
+	return ts >= w.From && ts <= w.To
 }
 
 func TestSlotKeyUnambiguous(t *testing.T) {
@@ -223,25 +239,85 @@ func randKey(rng *rand.Rand, maxLen int) []byte {
 	return k
 }
 
+// timedBases are the base times of timed rows (see randRow), few
+// enough that random windows land inside, across and between rows.
+var timedBases = []uint32{0, 3600, 0x6161}
+
+// timedOffsets are the offsets timed cells sit at: both edges of a
+// 3600-unit row, the largest 2-byte values (untimed under most spans)
+// and a few in between, so slots collide and overwrite often.
+var timedOffsets = []uint16{0, 1, 37, 97, 255, 256, 3599, 3600, 0xFFFE, 0xFFFF}
+
+// randRow draws a row key: half the time a short randKey, else a timed
+// row — one key byte, a base time from timedBases, and sometimes a
+// trailing key byte — which a TimeWindow at BaseAt 1 trims.
+func randRow(rng *rand.Rand) []byte {
+	if rng.Intn(2) == 0 {
+		return randKey(rng, 3)
+	}
+	row := append(randKey(rng, 1), 0, 0, 0, 0)
+	binary.BigEndian.PutUint32(row[1:], timedBases[rng.Intn(len(timedBases))])
+	if rng.Intn(2) == 0 {
+		row = append(row, randKey(rng, 1)...)
+	}
+	return row
+}
+
+// randQual draws a qualifier for row: for a timed row usually a 2-byte
+// offset from timedOffsets, otherwise a randKey, so some timed rows
+// hold only 2-byte qualifiers (the binary-search trim) and some mix in
+// others (the copying trim).
+func randQual(rng *rand.Rand, row []byte) []byte {
+	if len(row) < 5 || rng.Intn(8) == 0 {
+		return randKey(rng, 2)
+	}
+	q := make([]byte, 2)
+	binary.BigEndian.PutUint16(q, timedOffsets[rng.Intn(len(timedOffsets))])
+	return q
+}
+
+// randWindow draws a time window over the timed rows: its ends fall
+// before, on, inside, across and past row edges (From > To among
+// them), its base may be misaligned, and its span may cut 2-byte
+// offsets into timed and untimed ones anywhere.
+func randWindow(rng *rand.Rand) TimeWindow {
+	at := func() int64 {
+		base := int64(timedBases[rng.Intn(len(timedBases))])
+		return base + []int64{-4000, -1, 0, 1, 36, 37, 98, 256, 3599, 3600, 65535, 70000}[rng.Intn(12)]
+	}
+	baseAt := 1
+	if rng.Intn(4) == 0 {
+		baseAt = rng.Intn(3)
+	}
+	span := []int64{0, 1, 97, 3600, 0xFFFF, 1 << 16, 1 << 20}[rng.Intn(7)]
+	return TimeWindow{BaseAt: baseAt, Span: span, From: at(), To: at()}
+}
+
 func randFilter(rng *rand.Rand) *RowFilter {
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0:
 		return nil
 	case 1:
 		return &RowFilter{}
+	case 2:
+		return &RowFilter{Window: randWindow(rng)}
 	}
 	f := &RowFilter{Offset: rng.Intn(3), Stride: rng.Intn(3)}
 	for n := rng.Intn(3); n > 0; n-- {
 		f.Require = append(f.Require, randKey(rng, 2))
+	}
+	if rng.Intn(2) == 0 {
+		f.Window = randWindow(rng)
 	}
 	return f
 }
 
 // TestScanMatchesReference drives a region and the reference model
 // through the same random puts, overwrites, tombstones, deletes (row
-// markers among them), flushes, compactions and reopens, and checks after every step that scans over
-// random ranges, limits and row filters are byte-identical — and that
-// every store file holds exactly the reference's cells.
+// markers among them), flushes, compactions and reopens, and checks
+// after every step that scans over random ranges, limits, row filters
+// and time windows are byte-identical — and that every store file
+// holds exactly the reference's cells.
 func TestScanMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -254,12 +330,12 @@ func TestScanMatchesReference(t *testing.T) {
 			case op < 4: // delete through region.del: whole rows or a few slots
 				var batch []Cell
 				for n := 1 + rng.Intn(2); n > 0; n-- {
-					row := randKey(rng, 3)
+					row := randRow(rng)
 					if rng.Intn(2) == 0 { // every slot the row shows
 						batch = append(batch, ref.scan(row, append(row, 0), 0, nil)...)
 					}
 					for m := rng.Intn(3); m > 0; m-- {
-						batch = append(batch, Cell{Row: row, Qual: randKey(rng, 2)})
+						batch = append(batch, Cell{Row: row, Qual: randQual(rng, row)})
 					}
 				}
 				seq++
@@ -274,7 +350,8 @@ func TestScanMatchesReference(t *testing.T) {
 			case op < 18: // put a batch, some of it tombstones
 				batch := make([]Cell, 1+rng.Intn(8))
 				for i := range batch {
-					batch[i] = Cell{Row: randKey(rng, 3), Qual: randKey(rng, 2), Value: []byte(fmt.Sprint(step, i))}
+					row := randRow(rng)
+					batch[i] = Cell{Row: row, Qual: randQual(rng, row), Value: []byte(fmt.Sprint(step, i))}
 					if rng.Intn(6) == 0 {
 						batch[i].Tomb, batch[i].Value = true, nil
 					}

@@ -115,8 +115,8 @@ func (r *region) del(cells []Cell, seq int64, log func([]Cell)) {
 // rowCells appends the cells row shows to buf. Callers hold mu.
 func (r *region) rowCells(buf []Cell, row []byte) []Cell {
 	it := newRowIter(r.sources(), row, append(row[:len(row):len(row)], 0), nil)
-	if _, lists, _, ok := it.next(); ok {
-		buf = mergeRow(buf, lists, false)
+	if it.next() {
+		buf = it.appendRow(buf, false)
 	}
 	return buf
 }

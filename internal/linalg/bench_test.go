@@ -73,7 +73,8 @@ func BenchmarkSVDCovariancePath(b *testing.B) {
 
 // BenchmarkMulInto measures the packed in-place multiply on the
 // evaluator's tall-thin shape (batch×sensors · sensors×K) against a
-// warmed scratch: steady state is allocation-free on serial shapes.
+// scratch warmed before the timer starts: steady state is
+// allocation-free, serial or parallel.
 func BenchmarkMulInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	for _, shape := range [][3]int{{64, 100, 10}, {64, 1000, 10}, {256, 256, 256}} {
@@ -83,7 +84,11 @@ func BenchmarkMulInto(b *testing.B) {
 		dst := NewMatrix(n, p)
 		var scr MulScratch
 		b.Run(fmt.Sprintf("%dx%dx%d", n, k, p), func(b *testing.B) {
+			if err := MulInto(dst, x, y, &scr); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := MulInto(dst, x, y, &scr); err != nil {
 					b.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrShape reports incompatible matrix dimensions.
@@ -152,62 +153,136 @@ func (m *Matrix) Mul(other *Matrix) (*Matrix, error) {
 }
 
 // mulInto computes out = a·b, parallelizing across row stripes when the
-// work is large enough to amortize goroutine startup. Small products
-// call the kernel directly: the parallelRows closure would heap-escape
-// and cost an allocation even when no goroutine is ever spawned.
+// work is large enough to amortize the hand-off.
 func mulInto(out, a, b *Matrix) {
-	flops := float64(a.Rows) * float64(a.Cols) * float64(b.Cols)
-	if flops < parallelFlopsMin || runtime.GOMAXPROCS(0) < 2 {
-		mulRange(out, a, b, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, flops, func(lo, hi int) {
-		mulRange(out, a, b, lo, hi)
-	})
+	var left atomic.Int32
+	fanOut(a.Rows, mulStripes(a, b), &mulJob{out: out, a: a, b: b}, &left)
 }
+
+// mulJob is Mul's kernel over a row stripe.
+type mulJob struct{ out, a, b *Matrix }
+
+func (j *mulJob) rows(_, lo, hi int) { mulRange(j.out, j.a, j.b, lo, hi) }
 
 // parallelFlopsMin is the work size below which row-striped kernels run
-// inline: under it, goroutine startup costs more than it saves.
+// inline: under it, handing stripes to workers costs more than it saves.
 const parallelFlopsMin = 1 << 17
 
-// parallelRows runs fn over row stripes of [0, n) across GOMAXPROCS
-// goroutines when the estimated work is large enough to amortize
-// goroutine startup, and inline otherwise.
-func parallelRows(n int, flops float64, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if flops < parallelFlopsMin || workers < 2 {
-		fn(0, n)
-		return
+// mulStripes returns how many row stripes a·b runs in: one per P, or
+// one (inline) when the product is too small to amortize the hand-off.
+func mulStripes(a, b *Matrix) int {
+	if float64(a.Rows)*float64(a.Cols)*float64(b.Cols) < parallelFlopsMin {
+		return 1
 	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	return runtime.GOMAXPROCS(0)
 }
 
-// MulScratch holds the reusable packed operand buffer for MulInto. The
-// zero value is ready to use; buffers grow on demand and are retained
-// between calls, so a long-lived scratch makes repeated products with
-// the same shapes allocation-free.
+// stripeKernel computes rows [lo, hi) of a row-striped result; w is the
+// stripe's index, for kernels that keep per-stripe accumulators.
+type stripeKernel interface {
+	rows(w, lo, hi int)
+}
+
+// stripe is one row range of a fan-out, handed to a stripe worker;
+// left counts the fan-out's stripes still running.
+type stripe struct {
+	k         stripeKernel
+	w, lo, hi int
+	left      *atomic.Int32
+}
+
+func (s stripe) run() {
+	s.k.rows(s.w, s.lo, s.hi)
+	s.left.Add(-1)
+}
+
+// stripeWorkers is the package's pool of fan-out workers. A fan-out
+// hands stripes over a channel instead of starting goroutines: a go
+// statement allocates a closure for its arguments, and a new goroutine
+// allocates when the free list it draws from sits on another P, so
+// spawning per product could not be allocation-free. Like the
+// runtime's own background workers, they live for the process: there
+// are at most GOMAXPROCS-1 of them (unless GOMAXPROCS shrinks), and an
+// idle one is a goroutine parked on the queue.
+var stripeWorkers struct {
+	mu    sync.Mutex
+	n     int
+	queue chan stripe
+}
+
+// fanOut runs k over stripes equal row stripes of [0, n) (capped at n)
+// and returns when all are done: the last stripe runs on the calling
+// goroutine, the others on stripe workers. left must be zero and not
+// in use by another fan-out. A kernel held by pointer and a counter
+// owned by a reused scratch make a steady-state fan-out
+// allocation-free.
+//
+// While its stripes are out, the caller runs queued stripes (its own
+// or another fan-out's) and otherwise yields; it never parks. A parked
+// goroutine takes a wait record from its P's cache and allocates one
+// whenever it last woke on another P. The wait is short, since the
+// caller has just run a stripe of the same size.
+func fanOut(n, stripes int, k stripeKernel, left *atomic.Int32) {
+	stripes = min(stripes, n)
+	if stripes < 2 {
+		k.rows(0, 0, n)
+		return
+	}
+	startStripeWorkers(stripes - 1)
+	chunk := (n + stripes - 1) / stripes
+	last := 0
+	for w := 0; (w+1)*chunk < n; w++ {
+		left.Add(1)
+		stripeWorkers.queue <- stripe{k: k, w: w, lo: w * chunk, hi: (w + 1) * chunk, left: left}
+		last = w + 1
+	}
+	k.rows(last, last*chunk, n)
+	for left.Load() > 0 {
+		select {
+		case s := <-stripeWorkers.queue:
+			s.run()
+		default:
+			runtime.Gosched()
+		}
+	}
+}
+
+// startStripeWorkers grows the worker pool to at least n goroutines.
+func startStripeWorkers(n int) {
+	stripeWorkers.mu.Lock()
+	defer stripeWorkers.mu.Unlock()
+	if stripeWorkers.queue == nil {
+		// Buffered so a fan-out hands off its stripes without waiting
+		// for a free worker; 64 holds the stripes of several
+		// concurrent fan-outs, and a full queue only makes senders wait.
+		stripeWorkers.queue = make(chan stripe, 64)
+	}
+	for ; stripeWorkers.n < n; stripeWorkers.n++ {
+		go runStripes(stripeWorkers.queue)
+	}
+}
+
+func runStripes(queue <-chan stripe) {
+	for s := range queue {
+		s.run()
+	}
+}
+
+// MulScratch holds the reusable packed operand buffer for MulInto and
+// the operands of the product in flight, which its row stripes read.
+// The zero value is ready to use; buffers grow on demand and are
+// retained between calls, so a long-lived scratch makes repeated
+// products with the same shapes allocation-free, serial or parallel.
+// A MulScratch must not be copied after first use.
 type MulScratch struct {
 	pack []float64 // column-major packed copy of the right operand
+	dst  *Matrix
+	a    *Matrix
+	left atomic.Int32
+}
+
+func (s *MulScratch) rows(_, lo, hi int) {
+	mulPackedRange(s.dst, s.a, s.pack, s.a.Cols, s.dst.Cols, lo, hi)
 }
 
 // mulScratchPool serves MulInto callers that pass a nil scratch.
@@ -249,17 +324,9 @@ func MulInto(dst, a, b *Matrix, scr *MulScratch) error {
 			pack[j*k+l] = v
 		}
 	}
-	flops := float64(a.Rows) * float64(k) * float64(p)
-	// The serial path calls the kernel directly: wrapping it in the
-	// parallelRows closure would heap-allocate even when never spawning,
-	// breaking the zero-allocation steady state.
-	if flops < parallelFlopsMin || runtime.GOMAXPROCS(0) < 2 {
-		mulPackedRange(dst, a, pack, k, p, 0, a.Rows)
-		return nil
-	}
-	parallelRows(a.Rows, flops, func(lo, hi int) {
-		mulPackedRange(dst, a, pack, k, p, lo, hi)
-	})
+	scr.dst, scr.a = dst, a
+	fanOut(a.Rows, mulStripes(a, b), scr, &scr.left)
+	scr.dst, scr.a = nil, nil
 	return nil
 }
 
@@ -425,53 +492,16 @@ func (m *Matrix) Covariance() (*Matrix, []float64, error) {
 	d := m.Cols
 	cov := NewMatrix(d, d)
 	// Accumulate centered outer products in parallel over row stripes,
-	// each worker into a private accumulator, then reduce.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m.Rows {
-		workers = m.Rows
-	}
+	// each stripe into a private accumulator, then reduce.
+	stripes := runtime.GOMAXPROCS(0)
 	if d*d*m.Rows < 1<<15 {
-		workers = 1
+		stripes = 1
 	}
-	accs := make([][]float64, workers)
-	var wg sync.WaitGroup
-	chunk := (m.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > m.Rows {
-			hi = m.Rows
-		}
-		if lo >= hi {
-			break
-		}
-		accs[w] = make([]float64, d*d)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			acc := accs[w]
-			cen := make([]float64, d)
-			for i := lo; i < hi; i++ {
-				row := m.Row(i)
-				for j := range cen {
-					cen[j] = row[j] - mu[j]
-				}
-				for j := 0; j < d; j++ {
-					cj := cen[j]
-					if cj == 0 {
-						continue
-					}
-					arow := acc[j*d : (j+1)*d]
-					// Symmetric: accumulate the upper triangle only.
-					for l := j; l < d; l++ {
-						arow[l] += cj * cen[l]
-					}
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	job := &covJob{m: m, mu: mu, accs: make([][]float64, min(stripes, m.Rows))}
+	var left atomic.Int32
+	fanOut(m.Rows, stripes, job, &left)
 	inv := 1 / float64(m.Rows-1)
-	for _, acc := range accs {
+	for _, acc := range job.accs {
 		if acc == nil {
 			continue
 		}
@@ -487,6 +517,38 @@ func (m *Matrix) Covariance() (*Matrix, []float64, error) {
 		}
 	}
 	return cov, mu, nil
+}
+
+// covJob is Covariance's kernel: stripe w accumulates the upper
+// triangle of its rows' centered outer products into accs[w].
+type covJob struct {
+	m    *Matrix
+	mu   []float64
+	accs [][]float64
+}
+
+func (j *covJob) rows(w, lo, hi int) {
+	d := j.m.Cols
+	acc := make([]float64, d*d)
+	cen := make([]float64, d)
+	for i := lo; i < hi; i++ {
+		row := j.m.Row(i)
+		for l := range cen {
+			cen[l] = row[l] - j.mu[l]
+		}
+		for r := 0; r < d; r++ {
+			cr := cen[r]
+			if cr == 0 {
+				continue
+			}
+			arow := acc[r*d : (r+1)*d]
+			// Symmetric: accumulate the upper triangle only.
+			for l := r; l < d; l++ {
+				arow[l] += cr * cen[l]
+			}
+		}
+	}
+	j.accs[w] = acc
 }
 
 // IsSymmetric reports whether m is square and symmetric within tol.

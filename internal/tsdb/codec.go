@@ -182,12 +182,16 @@ func (c *Codec) decodeRow(key []byte) (hdr rowHeader, ok bool, err error) {
 	return rowHeader{metric: metric, tags: tags, base: base}, true, nil
 }
 
+// isWideQual reports whether q is the qualifier of a row-compacted
+// wide cell, 0xFFFF.
+func isWideQual(q []byte) bool { return len(q) == 2 && q[0] == 0xFF && q[1] == 0xFF }
+
 // appendSamples decodes one cell of a row with base time base onto
 // dst, keeping the samples whose timestamps fall in [lo, hi].
 func appendSamples(dst []Sample, base int64, cell hbase.Cell, lo, hi int64) ([]Sample, error) {
-	// Row-compacted wide cell: qualifier 0xFF 0xFF, value is a packed
-	// list of (offset u16, value f64) pairs.
-	if len(cell.Qual) == 2 && cell.Qual[0] == 0xFF && cell.Qual[1] == 0xFF {
+	// Row-compacted wide cell: a packed list of (offset u16, value
+	// f64) pairs.
+	if isWideQual(cell.Qual) {
 		if len(cell.Value)%10 != 0 {
 			return dst, fmt.Errorf("tsdb: bad compacted cell size %d", len(cell.Value))
 		}
@@ -235,6 +239,20 @@ func (c *Codec) tagFilter(tags map[string]string) (f hbase.RowFilter, ok bool) {
 		f.Require = append(f.Require, frag)
 	}
 	return f, true
+}
+
+// timeWindow turns a query's [start, end] into the region-side time
+// window, so a scan ships only the narrow cells the query keeps: a
+// row's base time follows the salt byte and metric UID, and a narrow
+// cell's qualifier is its offset within the row's hour. The
+// row-compacted 0xFFFF cell lies past the span, so it always ships and
+// appendSamples filters its samples.
+func (c *Codec) timeWindow(start, end int64) hbase.TimeWindow {
+	w := hbase.TimeWindow{BaseAt: uidWidth, Span: rowBaseSeconds, From: start, To: end}
+	if c.SaltBuckets > 0 {
+		w.BaseAt++
+	}
+	return w
 }
 
 // rowRanges returns the scan ranges covering metric UID mu over

@@ -2,11 +2,12 @@ package tsdb
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -349,9 +350,13 @@ func (t *TSD) Query(q Query) ([]Series, error) {
 }
 
 // QueryContext scans the row ranges for the metric (across all salt
-// buckets) with the query's tags pushed into the regions as a row
-// filter, decodes each returned row once, groups into series and
-// optionally downsamples.
+// buckets) with the query's tags and time window pushed into the
+// regions as a row filter, decodes each returned row once, groups into
+// series and optionally downsamples. A row's narrow cells come back in
+// time order, so a series' samples are sorted only when a one-pass
+// check finds them out of order: a window spanning hours whose rows
+// salt into different buckets, sealed and hot samples overlapping, or
+// a row-compacted wide cell beside narrow ones.
 func (t *TSD) QueryContext(ctx context.Context, q Query) ([]Series, error) {
 	t.QueriesServed.Inc()
 	if f := t.faults.Load(); f.Active() > 0 {
@@ -390,6 +395,7 @@ func (t *TSD) QueryContext(ctx context.Context, q Query) ([]Series, error) {
 	var ranges [][2][]byte
 	if hot {
 		ranges = t.codec.rowRanges(mu, q.Start, q.End)
+		filter.Window = t.codec.timeWindow(q.Start, q.End)
 	}
 	for _, rng := range ranges {
 		cells, err := t.client.ScanContext(ctx, rng[0], rng[1], 0, filter)
@@ -418,10 +424,22 @@ func (t *TSD) QueryContext(ctx context.Context, q Query) ([]Series, error) {
 			return nil, err
 		}
 	}
+	// grouped is keyed by series ID, so the result is ordered without
+	// rendering an ID per comparison.
+	ids := make([]string, 0, len(grouped))
+	for id := range grouped {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
 	out := make([]Series, 0, len(grouped))
 	var returned int64
-	for id, ser := range grouped {
-		sort.Slice(ser.Samples, func(i, j int) bool { return ser.Samples[i].Timestamp < ser.Samples[j].Timestamp })
+	for _, id := range ids {
+		ser := grouped[id]
+		if !slices.IsSortedFunc(ser.Samples, bySampleTime) {
+			// Stable, so dedupeSamples keeps the first of equal
+			// timestamps: sealed before hot, narrow before wide.
+			slices.SortStableFunc(ser.Samples, bySampleTime)
+		}
 		ser.Samples = dedupeSamples(ser.Samples)
 		if q.DownsampleSeconds > 0 {
 			ser.Samples = downsample(ser.Samples, q.DownsampleSeconds, q.Aggregate)
@@ -436,9 +454,10 @@ func (t *TSD) QueryContext(ctx context.Context, q Query) ([]Series, error) {
 		out = append(out, *ser)
 	}
 	t.SamplesReturned.Add(returned)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out, nil
 }
+
+func bySampleTime(a, b Sample) int { return cmp.Compare(a.Timestamp, b.Timestamp) }
 
 // mergePreAggregated merges a series' hot downsampled buckets with the
 // sealed tier's pre-aggregated ones (both sorted by timestamp). Seal
@@ -563,9 +582,12 @@ func (t *TSD) CompactRowsContext(ctx context.Context, beforeBase int64) (int, er
 	compacted := 0
 	err = eachRow(cells, func(rowCells []hbase.Cell) error {
 		// Qualifiers sort as big-endian offsets, and an already
-		// compacted row's 0xFFFF wide cell sorts last.
-		if last := rowCells[len(rowCells)-1].Qual; len(last) == 2 && last[0] == 0xFF && last[1] == 0xFF {
-			rowCells = rowCells[:len(rowCells)-1]
+		// compacted row's 0xFFFF wide cell sorts last. Its pairs merge
+		// into the new wide cell, the narrow cells (written since)
+		// winning an offset both hold.
+		var old []byte
+		if last := rowCells[len(rowCells)-1]; isWideQual(last.Qual) {
+			old, rowCells = last.Value, rowCells[:len(rowCells)-1]
 		}
 		if len(rowCells) < 2 {
 			return nil
@@ -574,11 +596,18 @@ func (t *TSD) CompactRowsContext(ctx context.Context, beforeBase int64) (int, er
 		if !ok || base >= beforeBase {
 			return nil
 		}
-		wide := make([]byte, 0, len(rowCells)*10)
+		wide := make([]byte, 0, len(rowCells)*10+len(old))
 		for _, c := range rowCells {
+			for len(old) >= 10 && bytes.Compare(old[:2], c.Qual) < 0 {
+				wide, old = append(wide, old[:10]...), old[10:]
+			}
+			if len(old) >= 10 && bytes.Equal(old[:2], c.Qual) {
+				old = old[10:]
+			}
 			wide = append(wide, c.Qual...)
 			wide = append(wide, c.Value...)
 		}
+		wide = append(wide, old...)
 		wideCell := hbase.Cell{Row: rowCells[0].Row, Qual: []byte{0xFF, 0xFF}, Value: wide}
 		if err := t.client.PutContext(ctx, []hbase.Cell{wideCell}); err != nil {
 			return err
