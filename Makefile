@@ -19,7 +19,7 @@ ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|Ben
 # stable ns/op medians, short enough for a PR loop.
 GATE_BENCHTIME ?= 300ms
 
-.PHONY: build lint vet fmt test bench bench-json bench-query bench-allocs bench-gate soak backtest chaos conformance cluster cluster-smoke load-smoke load check
+.PHONY: build lint vet fmt test bench-harness bench bench-json bench-query bench-allocs bench-gate soak backtest chaos conformance cluster cluster-smoke load-smoke load check
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,14 @@ lint: fmt vet
 
 test:
 	$(GO) test -race ./...
+
+# bench-harness vets and tests the end-to-end benchmark (e2ebench/).
+# It is a nested module, so `go build ./...` and `go test ./...` never
+# compile it, and a change to sentinel's exported surface could break
+# it unseen.
+bench-harness:
+	$(GO) -C e2ebench vet ./...
+	$(GO) -C e2ebench test .
 
 # Benchmark smoke: compile and run every benchmark once, no timing
 # fidelity expected — catches bit-rot, not regressions.
@@ -174,4 +182,4 @@ cluster-smoke:
 	$(GO) build -o bin/sentineld ./cmd/sentineld
 	$(GO) run ./cmd/clustersmoke -bin bin/sentineld
 
-check: lint build test bench bench-allocs bench-gate backtest chaos conformance cluster-smoke load-smoke
+check: lint build test bench-harness bench bench-allocs bench-gate backtest chaos conformance cluster-smoke load-smoke

@@ -1,8 +1,9 @@
 // Command ingestd runs the ingestion frontend as an HTTP service:
 // OpenTSDB-compatible writes land on a partitioned commit-log bus
 // (keyed by unit) and a consumer group of storage writers drains them
-// through the buffering reverse proxy into a simulated storage
-// cluster — the paper's producer → Kafka → OpenTSDB edge. Reads go
+// through the buffering reverse proxy into the simulated storage stack
+// every runtime shares (sentinel.NewStorage) — the paper's producer →
+// Kafka → OpenTSDB edge. Reads go
 // through the cached scatter-gather query tier, never a raw TSD scan.
 //
 //	ingestd -addr :4242 -nodes 4 -partitions 8 -workers 4
@@ -24,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os/signal"
@@ -33,13 +33,10 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/bus"
-	"repro/internal/hbase"
 	"repro/internal/ingest"
-	"repro/internal/proxy"
 	"repro/internal/query"
-	"repro/internal/resilience"
 	"repro/internal/telemetry"
-	"repro/internal/tsdb"
+	"repro/sentinel"
 )
 
 func main() {
@@ -61,101 +58,43 @@ func main() {
 		spillBytes   = flag.Int64("spill-bytes", 64<<20, "resident compressed payload budget before sealed blocks spill to the HDFS tier (negative spills everything)")
 	)
 	flag.Parse()
+	// -salt reads -1 as one bucket per node and 0 as no salting;
+	// Config.SaltBuckets reads 0 as one per node and -1 as none.
 	buckets := *salt
-	if buckets < 0 {
-		buckets = *nodes
+	switch {
+	case buckets < 0:
+		buckets = 0
+	case buckets == 0:
+		buckets = -1
 	}
-	cluster, err := hbase.NewCluster(hbase.Config{RegionServers: *nodes})
-	if err != nil {
-		log.Fatalf("ingestd: %v", err)
-	}
-	defer cluster.Stop()
-	deploy, err := tsdb.NewDeployment(cluster, *nodes, tsdb.TSDConfig{SaltBuckets: buckets})
-	if err != nil {
-		log.Fatalf("ingestd: %v", err)
-	}
-	if err := deploy.CreateTable(); err != nil {
-		log.Fatalf("ingestd: %v", err)
-	}
-	// The compressed sealed tier: closed rows compact into Gorilla
-	// blocks whose rollups answer wide dashboard windows; blocks over
-	// the resident budget spill to the simulated HDFS tier under the
-	// configured retention TTLs.
-	compactor := tsdb.NewCompactor(deploy,
-		tsdb.BlockStoreConfig{HotBlockBytes: *spillBytes},
-		tsdb.CompactorConfig{
-			Interval:  *compactEvery,
-			SealAfter: *sealAfter,
-			Retention: tsdb.RetentionPolicy{RawTTL: *rawTTL, RollupTTL: *rollupTTL},
-		})
-	if *compactEvery > 0 {
-		compactor.Start()
-	}
-	defer compactor.Stop()
-	// One breaker group shared by the proxy's write path and the query
-	// tier's read path: both see a single health view per TSD.
-	breakers := resilience.NewGroup(resilience.BreakerConfig{})
-	px, err := proxy.New(cluster.Network(), deploy.Addrs(), proxy.Config{Breakers: breakers})
-	if err != nil {
-		log.Fatalf("ingestd: %v", err)
-	}
-	defer px.Close()
-
-	broker := bus.New(bus.Config{Partitions: *partitions})
-	defer broker.Close()
-	topic := broker.Topic("energy")
-	storage := topic.Group("storage")
-	writers := ingest.StartStorageWriters(context.Background(), bus.LocalGroup{Group: storage}, px, *workers)
-	defer writers.Stop()
-
-	// Reads fan out across every TSD through the cached window tier —
-	// the old direct TSDs()[0].Query path bypassed caching, failover
-	// and LTTB bounding entirely.
-	engine := query.NewFromDeployment(deploy, query.Config{
-		MaxEntries: *cache,
-		Timeout:    10 * time.Second,
-		Breakers:   breakers,
-		HedgeDelay: 25 * time.Millisecond,
-		ServeStale: true,
-	})
-
-	reg := telemetry.NewRegistry()
-	registerMetrics(reg, broker, storage, writers, px, deploy, engine, breakers)
-	registerBlockMetrics(reg, compactor)
-
-	gw := api.New(api.Config{
-		Publisher: &api.BusPublisher{Topic: bus.LocalTopic{Topic: topic}},
-		Query:     engine,
-		Registry:  reg,
-		Ready: []api.ReadyCheck{
-			{Name: "bus", Check: func() error {
-				if !broker.Running() {
-					return errors.New("bus not accepting publishes")
-				}
-				return nil
-			}},
-			{Name: "storage", Check: func() error {
-				n := len(deploy.Addrs())
-				if n == 0 {
-					return errors.New("no TSDs")
-				}
-				// Some-but-not-all open circuits is degraded (stale
-				// serving still answers); all open is down.
-				if open := breakers.OpenCount(); open >= n {
-					return fmt.Errorf("all %d backend circuits open", n)
-				} else if open > 0 {
-					return api.Degraded(fmt.Errorf("%d of %d backend circuits open", open, n))
-				}
-				return nil
-			}},
+	st, err := newStack(stackConfig{
+		storage: sentinel.Config{
+			StorageNodes:  *nodes,
+			SaltBuckets:   buckets,
+			SealAfter:     *sealAfter,
+			CompactEvery:  *compactEvery,
+			RawTTL:        *rawTTL,
+			RollupTTL:     *rollupTTL,
+			HotBlockBytes: *spillBytes,
 		},
-		RatePerSec: *rate,
-		APIKeys:    api.SplitKeys(*apiKeys),
+		partitions: *partitions,
+		workers:    *workers,
+		// Reads fan out across every TSD through the cached window tier.
+		query: query.Config{
+			MaxEntries: *cache,
+			Timeout:    10 * time.Second,
+			HedgeDelay: 25 * time.Millisecond,
+			ServeStale: true,
+		},
+		gateway: api.Config{RatePerSec: *rate, APIKeys: api.SplitKeys(*apiKeys)},
 	})
+	if err != nil {
+		log.Fatalf("ingestd: %v", err)
+	}
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           gw,
+		Handler:           st.gw,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -163,7 +102,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("ingestd: %d nodes, salt=%d, %d partitions, %d writers, listening on %s",
-		*nodes, buckets, *partitions, *workers, *addr)
+		*nodes, *salt, *partitions, *workers, *addr)
 
 	select {
 	case err := <-errc:
@@ -178,66 +117,93 @@ func main() {
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("ingestd: http shutdown: %v", err)
 	}
-	if err := broker.Drain(shutdownCtx); err != nil {
+	if err := st.broker.Drain(shutdownCtx); err != nil {
 		log.Printf("ingestd: bus drain: %v", err)
 	}
-	writers.Stop()
-	broker.Close()
-	if err := px.Drain(shutdownCtx); err != nil {
+	st.writers.Stop()
+	if err := st.Proxy.Drain(shutdownCtx); err != nil {
 		log.Printf("ingestd: proxy drain: %v", err)
 	}
+	st.stop()
 	log.Printf("ingestd: shutdown complete")
 }
 
-// registerMetrics exposes every tier's counters through the single
-// registry behind /api/v1/metrics and the legacy /metrics shim —
-// replacing the hand-rolled fmt.Fprintf writer this binary used to
-// carry. Names are kept identical for scrape continuity.
-func registerMetrics(reg *telemetry.Registry, broker *bus.Broker, storage *bus.Group,
-	writers *ingest.StorageWriters, px *proxy.Proxy, deploy *tsdb.Deployment, engine *query.Engine,
-	breakers *resilience.Group) {
-	reg.RegisterCounter("bus_published", &broker.Published)
-	reg.RegisterCounter("bus_polled", &broker.Polled)
-	reg.RegisterCounter("bus_rebalances", &broker.Rebalances)
-	reg.RegisterFunc("storage_lag", storage.Lag)
-	reg.RegisterCounter("writer_delivered", &writers.Delivered)
-	reg.RegisterCounter("writer_failures", &writers.Failures)
-	reg.RegisterCounter("writer_parks", &writers.Parks)
-	reg.RegisterGauge("writer_parked", &writers.Parked)
-	reg.RegisterCounter("accepted", &px.Accepted)
-	reg.RegisterCounter("delivered", &px.Delivered)
-	reg.RegisterCounter("dropped", &px.Dropped)
-	reg.RegisterCounter("retries", &px.Retries)
-	reg.RegisterGauge("queue_depth", &px.QueueDepth)
-	reg.RegisterFunc("tsdb_points_written", deploy.PointsWritten)
-	reg.RegisterFunc("tsdb_queries_served", deploy.QueriesServed)
-	reg.RegisterCounter("query_cache_hits", &engine.CacheHits)
-	reg.RegisterCounter("query_cache_misses", &engine.CacheMisses)
-	reg.RegisterCounter("query_subqueries", &engine.SubQueries)
-	reg.RegisterCounter("query_failovers", &engine.Failovers)
-	reg.RegisterCounter("query_hedged", &engine.Hedged)
-	reg.RegisterCounter("query_hedge_wins", &engine.HedgeWins)
-	reg.RegisterCounter("query_degraded_serves", &engine.DegradedServes)
-	reg.RegisterCounter("breaker_opens", &breakers.Opens)
-	reg.RegisterCounter("breaker_half_opens", &breakers.HalfOpens)
-	reg.RegisterCounter("breaker_closes", &breakers.Closes)
-	reg.RegisterFunc("breakers_open", func() int64 { return int64(breakers.OpenCount()) })
+// stackConfig sizes an ingestd stack.
+type stackConfig struct {
+	storage    sentinel.Config
+	partitions int
+	workers    int
+	// query tunes the read tier; newStack wires in the breakers.
+	query query.Config
+	// gateway carries the gateway's client-facing options (rate limit,
+	// API keys, access log); newStack fills in the rest.
+	gateway api.Config
 }
 
-// registerBlockMetrics exposes the compressed storage tier's counters,
-// matching the names sentinel systems export.
-func registerBlockMetrics(reg *telemetry.Registry, c *tsdb.Compactor) {
-	bs := c.Store()
-	reg.RegisterCounter("blocks_sealed", &bs.BlocksSealed)
-	reg.RegisterCounter("samples_sealed", &bs.SamplesSealed)
-	reg.RegisterCounter("bytes_sealed", &bs.BytesSealed)
-	reg.RegisterCounter("blocks_spilled", &bs.BlocksSpilled)
-	reg.RegisterCounter("spill_reads", &bs.SpillReads)
-	reg.RegisterCounter("block_scans", &bs.BlockScans)
-	reg.RegisterCounter("rollup_serves", &bs.RollupServes)
-	reg.RegisterCounter("blocks_expired", &bs.BlocksExpired)
-	reg.RegisterCounter("rollups_expired", &bs.RollupsExpired)
-	reg.RegisterFunc("blocks_hot_bytes", bs.HotBytes)
-	reg.RegisterCounter("compactor_passes", &c.Passes)
-	reg.RegisterCounter("compactor_pass_errors", &c.PassErrors)
+// stack is ingestd's running pipeline: the sentinel storage stack
+// behind a commit-log bus, its storage writers, the cached query tier
+// and the /api/v1 gateway over them.
+type stack struct {
+	*sentinel.Storage
+	broker  *bus.Broker
+	topic   *bus.Topic
+	group   *bus.Group
+	writers *ingest.StorageWriters
+	engine  *query.Engine
+	gw      *api.Gateway
+}
+
+// newStack boots the storage stack, the bus and its storage consumer
+// group, the query tier and the gateway.
+func newStack(cfg stackConfig) (*stack, error) {
+	storage, err := sentinel.NewStorage(cfg.storage)
+	if err != nil {
+		return nil, err
+	}
+	s := &stack{Storage: storage, broker: bus.New(bus.Config{Partitions: cfg.partitions})}
+	s.topic = s.broker.Topic(sentinel.TopicEnergy)
+	s.group = s.topic.Group(sentinel.GroupStorage)
+	s.writers = ingest.StartStorageWriters(context.Background(), bus.LocalGroup{Group: s.group}, s.Proxy, cfg.workers)
+	s.engine = s.QueryEngine(cfg.query)
+
+	reg := telemetry.NewRegistry()
+	reg.RegisterCounter("bus_published", &s.broker.Published)
+	reg.RegisterCounter("bus_polled", &s.broker.Polled)
+	reg.RegisterCounter("bus_rebalances", &s.broker.Rebalances)
+	reg.RegisterFunc("storage_lag", s.group.Lag)
+	reg.RegisterCounter("writer_delivered", &s.writers.Delivered)
+	reg.RegisterCounter("writer_failures", &s.writers.Failures)
+	reg.RegisterCounter("writer_parks", &s.writers.Parks)
+	reg.RegisterGauge("writer_parked", &s.writers.Parked)
+	reg.RegisterCounter("query_cache_hits", &s.engine.CacheHits)
+	reg.RegisterCounter("query_cache_misses", &s.engine.CacheMisses)
+	reg.RegisterCounter("query_subqueries", &s.engine.SubQueries)
+	reg.RegisterCounter("query_failovers", &s.engine.Failovers)
+	reg.RegisterCounter("query_hedged", &s.engine.Hedged)
+	reg.RegisterCounter("query_hedge_wins", &s.engine.HedgeWins)
+	reg.RegisterCounter("query_degraded_serves", &s.engine.DegradedServes)
+	s.RegisterMetrics(reg)
+
+	gw := cfg.gateway
+	gw.Publisher = &api.BusPublisher{Topic: bus.LocalTopic{Topic: s.topic}}
+	gw.Query = s.engine
+	gw.Registry = reg
+	gw.Ready = []api.ReadyCheck{
+		{Name: "bus", Check: func() error {
+			if !s.broker.Running() {
+				return errors.New("bus not accepting publishes")
+			}
+			return nil
+		}},
+		s.ReadyCheck(),
+	}
+	s.gw = api.New(gw)
+	return s, nil
+}
+
+// stop tears the stack down: writers, then the bus, then storage.
+func (s *stack) stop() {
+	s.writers.Stop()
+	s.broker.Close()
+	s.Close()
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -12,66 +13,51 @@ import (
 	"time"
 
 	"repro/internal/api"
+	v1 "repro/internal/api/v1"
 	"repro/internal/bus"
-	"repro/internal/hbase"
-	"repro/internal/ingest"
-	"repro/internal/proxy"
 	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
 	"repro/internal/tsdb"
+	"repro/sentinel"
 )
 
 // testLogger silences gateway access logs in tests.
 func testLogger() *log.Logger { return log.New(io.Discard, "", 0) }
 
+// startStack boots a small ingestd pipeline through newStack, the
+// constructor main uses.
+func startStack(t *testing.T) *stack {
+	t.Helper()
+	st, err := newStack(stackConfig{
+		storage:    sentinel.Config{StorageNodes: 2},
+		partitions: 4,
+		workers:    2,
+		query:      query.Config{MaxEntries: 64},
+		gateway:    api.Config{AccessLog: testLogger()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.stop)
+	return st
+}
+
 // testStack boots the full ingestd pipeline — bus topic → storage
-// writers → proxy → TSD tier, fronted by the /api/v1 gateway exactly
-// as main() wires it. flush blocks until everything published has
-// reached storage.
+// writers → proxy → TSD tier, fronted by the /api/v1 gateway. flush
+// blocks until everything published has reached storage.
 func testStack(t *testing.T) (gw *api.Gateway, topic *bus.Topic, deploy *tsdb.Deployment, engine *query.Engine, flush func()) {
 	t.Helper()
-	cluster, err := hbase.NewCluster(hbase.Config{RegionServers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cluster.Stop)
-	deploy, err = tsdb.NewDeployment(cluster, 2, tsdb.TSDConfig{SaltBuckets: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := deploy.CreateTable(); err != nil {
-		t.Fatal(err)
-	}
-	px, err := proxy.New(cluster.Network(), deploy.Addrs(), proxy.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(px.Close)
-	broker := bus.New(bus.Config{Partitions: 4})
-	t.Cleanup(broker.Close)
-	topic = broker.Topic("energy")
-	group := topic.Group("storage")
-	writers := ingest.StartStorageWriters(context.Background(), bus.LocalGroup{Group: group}, px, 2)
-	t.Cleanup(writers.Stop)
-	engine = query.NewFromDeployment(deploy, query.Config{MaxEntries: 64})
-	reg := telemetry.NewRegistry()
-	registerMetrics(reg, broker, group, writers, px, deploy, engine, resilience.NewGroup(resilience.BreakerConfig{}))
-	gw = api.New(api.Config{
-		Publisher: &api.BusPublisher{Topic: bus.LocalTopic{Topic: topic}},
-		Query:     engine,
-		Registry:  reg,
-		AccessLog: testLogger(),
-	})
+	st := startStack(t)
 	flush = func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		if err := group.Sync(ctx); err != nil {
+		if err := st.group.Sync(ctx); err != nil {
 			t.Fatalf("storage group never drained: %v", err)
 		}
-		px.Flush()
+		st.Proxy.Flush()
 	}
-	return gw, topic, deploy, engine, flush
+	return st.gw, st.topic, st.TSDB, st.engine, flush
 }
 
 func do(t *testing.T, gw http.Handler, method, path, body, contentType string) *httptest.ResponseRecorder {
@@ -109,9 +95,18 @@ func TestPutJSONEndpoint(t *testing.T) {
 	if rec = do(t, gw, "GET", "/api/v1/points", "", ""); rec.Code != 405 {
 		t.Fatalf("GET status = %d", rec.Code)
 	}
-	rec = do(t, gw, "POST", "/api/v1/points", "{bad", "application/json")
-	if rec.Code != 400 || !strings.Contains(rec.Body.String(), `"code":"bad_request"`) {
-		t.Fatalf("bad body status = %d (%s)", rec.Code, rec.Body)
+	for _, body := range []string{
+		"{bad",
+		// Past the storable range: the row key's uint32 hour base would
+		// wrap. Both JSON shapes must refuse it before the ack.
+		`[{"metric":"energy","timestamp":4294967296,"value":1,"tags":{"unit":"1","sensor":"2"}}]`,
+		`{"points":[{"metric":"energy","timestamp":4294967296,"value":1,"tags":{"unit":"1","sensor":"2"}}]}`,
+		`{"points":[{"metric":"energy","timestamp":5,"value":1,"tags":{}}]}`,
+	} {
+		rec = do(t, gw, "POST", "/api/v1/points", body, "application/json")
+		if rec.Code != 400 || !strings.Contains(rec.Body.String(), `"code":"bad_request"`) {
+			t.Fatalf("bad body %q: status = %d (%s)", body, rec.Code, rec.Body)
+		}
 	}
 }
 
@@ -236,7 +231,7 @@ func TestMetricsUnified(t *testing.T) {
 			t.Fatalf("%s status = %d", path, rec.Code)
 		}
 		body := rec.Body.String()
-		for _, want := range []string{"bus_published 1", "accepted 1", "http_requests"} {
+		for _, want := range []string{"bus_published 1", "proxy_accepted 1", "http_requests"} {
 			if !strings.Contains(body, want) {
 				t.Fatalf("%s missing %q:\n%s", path, want, body)
 			}
@@ -250,45 +245,53 @@ func TestMetricsUnified(t *testing.T) {
 }
 
 // TestReadyzDistinctFromHealthz: liveness always answers; readiness
-// reflects the bus state.
+// reflects the bus and storage checks main wires.
 func TestReadyzDistinctFromHealthz(t *testing.T) {
-	cluster, err := hbase.NewCluster(hbase.Config{RegionServers: 1})
-	if err != nil {
-		t.Fatal(err)
+	st := startStack(t)
+	ready := func(wantCode int) map[string]string {
+		t.Helper()
+		if rec := do(t, st.gw, "GET", "/healthz", "", ""); rec.Code != 200 {
+			t.Fatalf("healthz = %d (liveness must not depend on readiness)", rec.Code)
+		}
+		rec := do(t, st.gw, "GET", "/readyz", "", "")
+		if rec.Code != wantCode {
+			t.Fatalf("readyz = %d, want %d (%s)", rec.Code, wantCode, rec.Body)
+		}
+		var resp v1.ReadyResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		status := make(map[string]string)
+		for _, c := range resp.Checks {
+			status[c.Name] = c.Status
+		}
+		return status
 	}
-	t.Cleanup(cluster.Stop)
-	deploy, err := tsdb.NewDeployment(cluster, 1, tsdb.TSDConfig{SaltBuckets: 1})
-	if err != nil {
-		t.Fatal(err)
+	if got := ready(200); got["bus"] != v1.ReadyOK || got["storage"] != v1.ReadyOK {
+		t.Fatalf("fresh stack checks = %v", got)
 	}
-	if err := deploy.CreateTable(); err != nil {
-		t.Fatal(err)
+	// One tripped TSD circuit degrades storage without failing readiness.
+	addrs := st.TSDB.Addrs()
+	trip := func(addr string) {
+		for b := st.Breakers.For(addr); b.State() == resilience.Closed; {
+			b.Failure()
+		}
 	}
-	broker := bus.New(bus.Config{Partitions: 1})
-	gw := api.New(api.Config{
-		AccessLog: testLogger(),
-		Ready: []api.ReadyCheck{
-			{Name: "bus", Check: func() error {
-				if !broker.Running() {
-					return fmt.Errorf("bus down")
-				}
-				return nil
-			}},
-		},
-	})
-	if rec := do(t, gw, "GET", "/healthz", "", ""); rec.Code != 200 {
-		t.Fatalf("healthz = %d", rec.Code)
+	trip(addrs[0])
+	if got := ready(200); got["storage"] != v1.ReadyDegraded {
+		t.Fatalf("one open circuit: checks = %v", got)
 	}
-	if rec := do(t, gw, "GET", "/readyz", "", ""); rec.Code != 200 {
-		t.Fatalf("readyz = %d (%s)", rec.Code, rec.Body)
+	// A stopped bus fails readiness.
+	st.broker.Close()
+	if got := ready(503); got["bus"] != v1.ReadyDown || got["storage"] != v1.ReadyDegraded {
+		t.Fatalf("bus closed: checks = %v", got)
 	}
-	broker.Close()
-	if rec := do(t, gw, "GET", "/healthz", "", ""); rec.Code != 200 {
-		t.Fatalf("healthz after close = %d (liveness must not depend on the bus)", rec.Code)
+	// Every circuit open takes storage down too.
+	for _, a := range addrs[1:] {
+		trip(a)
 	}
-	rec := do(t, gw, "GET", "/readyz", "", "")
-	if rec.Code != 503 || !strings.Contains(rec.Body.String(), `"ready":false`) {
-		t.Fatalf("readyz after close = %d (%s)", rec.Code, rec.Body)
+	if got := ready(503); got["storage"] != v1.ReadyDown {
+		t.Fatalf("all circuits open: checks = %v", got)
 	}
 }
 
@@ -318,6 +321,83 @@ func TestPublishRoutesMixedUnits(t *testing.T) {
 		series, err := deploy.TSDs()[0].Query(tsdb.Query{Metric: "energy", Tags: tsdb.EnergyTags(u, 0), Start: 0, End: 100})
 		if err != nil || len(series) != 1 {
 			t.Fatalf("unit %d: stored = %+v, %v", u, series, err)
+		}
+	}
+}
+
+// TestStorageMetricsMatchAcrossRuntimes: the in-process System, a
+// store-role cluster node and ingestd build one storage stack, so each
+// exposes the same storage metric names and has the sealed tier
+// attached.
+func TestStorageMetricsMatchAcrossRuntimes(t *testing.T) {
+	parse := func(exposition string) map[string]bool {
+		out := make(map[string]bool)
+		for _, line := range strings.Split(strings.TrimSpace(exposition), "\n") {
+			out[strings.Fields(line)[0]] = true
+		}
+		return out
+	}
+	names := func(reg *telemetry.Registry) map[string]bool {
+		var b strings.Builder
+		reg.Expose(&b)
+		return parse(b.String())
+	}
+	bare, err := sentinel.NewStorage(sentinel.Config{StorageNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	bare.RegisterMetrics(reg)
+	bare.Close()
+	want := names(reg)
+	for _, n := range []string{"proxy_accepted", "proxy_queue_depth", "breakers_open", "blocks_sealed", "compactor_passes"} {
+		if !want[n] {
+			t.Fatalf("storage metrics lack %q: %v", n, want)
+		}
+	}
+
+	sys, err := sentinel.New(sentinel.Config{StorageNodes: 1, Units: 1, SensorsPerUnit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	sysReg := telemetry.NewRegistry()
+	sys.RegisterMetrics(sysReg)
+
+	node, err := sentinel.StartNode(sentinel.NodeConfig{
+		Name:         "store",
+		Roles:        []sentinel.Role{sentinel.RoleStore},
+		ZKNode:       "store",
+		StorageNodes: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+
+	st := startStack(t)
+	rec := do(t, st.gw, "GET", "/api/v1/metrics", "", "")
+	if rec.Code != 200 {
+		t.Fatalf("ingestd metrics = %d", rec.Code)
+	}
+
+	runtimes := []struct {
+		name    string
+		storage *sentinel.Storage
+		got     map[string]bool
+	}{
+		{"System", sys.Storage, names(sysReg)},
+		{"store node", node.Storage, names(node.Registry())},
+		{"ingestd", st.Storage, parse(rec.Body.String())},
+	}
+	for _, rt := range runtimes {
+		if rt.storage.TSDB.BlockStore() == nil {
+			t.Errorf("%s: no sealed tier attached", rt.name)
+		}
+		for n := range want {
+			if !rt.got[n] {
+				t.Errorf("%s: missing storage metric %q", rt.name, n)
+			}
 		}
 	}
 }

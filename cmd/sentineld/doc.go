@@ -3,7 +3,7 @@
 // fabric (see package sentinel's cluster runtime):
 //
 //	broker   bus replica + partition-group election candidate
-//	store    HBase cluster + TSD tier + proxy + storage writers
+//	store    storage stack (sentinel.NewStorage) + storage writers
 //	detect   streaming detector pool over the remote bus
 //	gateway  web surface + coordination (ZooKeeper-like) service
 //

@@ -27,6 +27,7 @@ import (
 	"repro/internal/simdata"
 	"repro/internal/telemetry"
 	"repro/internal/tsdb"
+	"repro/sentinel"
 )
 
 func main() {
@@ -56,53 +57,37 @@ func main() {
 	}
 }
 
-// rig is one bootstrapped storage deployment plus its workload driver.
+// rig is one bootstrapped storage stack plus its workload driver.
 type rig struct {
-	cluster *hbase.Cluster
-	deploy  *tsdb.Deployment
-	px      *proxy.Proxy
-	fleet   *simdata.Fleet
+	*sentinel.Storage
+	fleet *simdata.Fleet
 }
 
-// buildRig boots nodes region servers + TSDs at the emulated rate with
-// salting sized to the node count.
-func buildRig(nodes int, emulatedRate float64, saltBuckets int, units, sensors int, queueCap int, crashAt int64) (*rig, error) {
-	cluster, err := hbase.NewCluster(hbase.Config{
-		RegionServers:    nodes,
-		ServiceRatePerRS: emulatedRate,
-		RSQueueCap:       queueCap,
-		CrashOnOverflow:  crashAt,
+// buildRig boots nodes region servers + TSDs at the emulated rate,
+// salted one bucket per node or not at all.
+func buildRig(nodes int, emulatedRate float64, salted bool, units, sensors int) (*rig, error) {
+	salt := -1
+	if salted {
+		salt = nodes
+	}
+	st, err := sentinel.NewStorage(sentinel.Config{
+		StorageNodes:     nodes,
+		SaltBuckets:      salt,
+		PerNodeRate:      emulatedRate,
+		RSQueueCap:       4096,
+		ProxyMaxInFlight: 2 * nodes,
 	})
 	if err != nil {
 		return nil, err
 	}
-	deploy, err := tsdb.NewDeployment(cluster, nodes, tsdb.TSDConfig{SaltBuckets: saltBuckets})
-	if err != nil {
-		cluster.Stop()
-		return nil, err
-	}
-	if err := deploy.CreateTable(); err != nil {
-		cluster.Stop()
-		return nil, err
-	}
-	px, err := proxy.New(cluster.Network(), deploy.Addrs(), proxy.Config{MaxInFlight: 2 * nodes})
-	if err != nil {
-		cluster.Stop()
-		return nil, err
-	}
 	fleet := simdata.NewFleet(simdata.Config{Units: units, SensorsPerUnit: sensors, Seed: 42})
-	return &rig{cluster: cluster, deploy: deploy, px: px, fleet: fleet}, nil
-}
-
-func (r *rig) stop() {
-	r.px.Close()
-	r.cluster.Stop()
+	return &rig{Storage: st, fleet: fleet}, nil
 }
 
 // measure streams load through the proxy for roughly window seconds
 // and returns achieved samples/second.
 func (r *rig) measure(window float64) float64 {
-	driver := ingest.NewDriver(r.fleet, r.px, ingest.DriverConfig{BatchSize: 1000, Senders: 8})
+	driver := ingest.NewDriver(r.fleet, r.Proxy, ingest.DriverConfig{BatchSize: 1000, Senders: 8})
 	start := time.Now()
 	var total int64
 	step := int64(0)
@@ -114,7 +99,7 @@ func (r *rig) measure(window float64) float64 {
 		total += stats.Samples
 		step++
 	}
-	r.px.Flush()
+	r.Proxy.Flush()
 	return float64(total) / time.Since(start).Seconds()
 }
 
@@ -124,12 +109,12 @@ func runSweep(paperRate, speedup, seconds float64, units, sensors int) {
 	fmt.Printf("%-8s %-22s %-22s\n", "nodes", "measured samples/s", "paper-scale samples/s")
 	var xs, ys []float64
 	for _, n := range []int{10, 15, 20, 25, 30} {
-		r, err := buildRig(n, paperRate*speedup, n, units, sensors, 4096, 0)
+		r, err := buildRig(n, paperRate*speedup, true, units, sensors)
 		if err != nil {
 			log.Fatalf("tsdbench: %v", err)
 		}
 		got := r.measure(seconds)
-		r.stop()
+		r.Close()
 		paperScale := got / speedup
 		fmt.Printf("%-8d %-22.0f %-22.0f\n", n, got, paperScale)
 		xs = append(xs, float64(n))
@@ -142,16 +127,16 @@ func runSweep(paperRate, speedup, seconds float64, units, sensors int) {
 
 func runSeries(nodes int, paperRate, speedup, seconds float64, units, sensors int) {
 	fmt.Printf("Figure 2 (right): cumulative samples vs time, %d nodes\n\n", nodes)
-	r, err := buildRig(nodes, paperRate*speedup, nodes, units, sensors, 4096, 0)
+	r, err := buildRig(nodes, paperRate*speedup, true, units, sensors)
 	if err != nil {
 		log.Fatalf("tsdbench: %v", err)
 	}
-	defer r.stop()
+	defer r.Close()
 	// Submit continuously in the background; the *delivered* counter on
 	// the proxy is the ingestion-side truth Figure 2 plots.
 	stop := make(chan struct{})
 	go func() {
-		driver := ingest.NewDriver(r.fleet, r.px, ingest.DriverConfig{BatchSize: 1000, Senders: 8})
+		driver := ingest.NewDriver(r.fleet, r.Proxy, ingest.DriverConfig{BatchSize: 1000, Senders: 8})
 		for step := int64(0); ; step++ {
 			select {
 			case <-stop:
@@ -171,7 +156,7 @@ func runSeries(nodes int, paperRate, speedup, seconds float64, units, sensors in
 	prev := int64(0)
 	prevT := start
 	for now := range tick.C {
-		cum := r.px.Delivered.Value()
+		cum := r.Proxy.Delivered.Value()
 		el := now.Sub(start).Seconds()
 		rate := float64(cum-prev) / now.Sub(prevT).Seconds()
 		fmt.Printf("%-12.2f %-16d %-16.0f\n", el, cum, rate)
@@ -192,23 +177,19 @@ func runAblation(which string, nodes int, paperRate, speedup, seconds float64, u
 	case "salting":
 		fmt.Println("§III-B ablation: row-key salting")
 		for _, salted := range []bool{false, true} {
-			buckets := 0
-			if salted {
-				buckets = nodes
-			}
-			r, err := buildRig(nodes, paperRate*speedup, buckets, units, sensors, 4096, 0)
+			r, err := buildRig(nodes, paperRate*speedup, salted, units, sensors)
 			if err != nil {
 				log.Fatalf("tsdbench: %v", err)
 			}
 			got := r.measure(seconds)
-			shares := r.cluster.WriteShares()
+			shares := r.Cluster.WriteShares()
 			maxShare := 0.0
 			for _, s := range shares {
 				if s > maxShare {
 					maxShare = s
 				}
 			}
-			r.stop()
+			r.Close()
 			fmt.Printf("  salted=%-5v throughput=%8.0f samples/s  hottest-server share=%.0f%%\n",
 				salted, got/speedup, 100*maxShare)
 		}
@@ -230,7 +211,9 @@ func runAblation(which string, nodes int, paperRate, speedup, seconds float64, u
 // OpenTSDB applies no backpressure toward HBase: RegionServer RPC
 // queues overflow until servers crash) against the same load pushed
 // through the buffering proxy, whose bounded in-flight window keeps
-// queue depth under the RegionServers' capacity.
+// queue depth under the RegionServers' capacity. It wires the stack by
+// hand, not through sentinel.NewStorage: the ablation needs fail-fast
+// TSDs (OpenTSDB's missing backpressure), which no runtime runs.
 func runBackpressure(nodes int, emulatedRate, seconds float64, units, sensors int) {
 	const writers = 128
 	for _, buffered := range []bool{false, true} {
@@ -302,6 +285,10 @@ func runBackpressure(nodes int, emulatedRate, seconds float64, units, sensors in
 	fmt.Println("  (paper: without the proxy, RegionServers crashed from overloaded RPC queues)")
 }
 
+// runCompaction counts RPC calls with OpenTSDB row compaction on and
+// off. It wires one TSD by hand, not through sentinel.NewStorage: the
+// ablation toggles tsdb.TSDConfig.CompactionEnabled, which no runtime
+// runs with.
 func runCompaction(nodes, units, sensors int) {
 	for _, enabled := range []bool{false, true} {
 		cluster, err := hbase.NewCluster(hbase.Config{RegionServers: nodes})

@@ -27,32 +27,25 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/bus"
-	"repro/internal/query"
-	"repro/internal/telemetry"
-	"repro/internal/viz"
 	"repro/sentinel"
 )
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		units       = flag.Int("units", 20, "simulated units")
-		sensors     = flag.Int("sensors", 60, "sensors per unit")
-		nodes       = flag.Int("nodes", 4, "storage nodes")
-		train       = flag.Int("train", 120, "training window (steps)")
-		onset       = flag.Int64("onset", 150, "fault onset step")
-		tick        = flag.Duration("tick", 2*time.Second, "live-loop interval (one fleet second per tick)")
-		partitions  = flag.Int("partitions", 0, "commit-log partitions (0: one per unit, capped at 16)")
-		workers     = flag.Int("workers", 2, "streaming detector workers (0: detect synchronously per tick)")
-		cache       = flag.Int("cache", 512, "query-tier window cache entries (negative disables)")
-		cacheBucket = flag.Int64("cachewindow", 5, "cache window bucketing in seconds (0: exact windows)")
-		maxPoints   = flag.Int("maxpoints", 400, "max rendered samples per series (LTTB; 0: unbounded)")
-		fanout      = flag.Int("fanout", 0, "TSDs the query tier fans out over (0: all)")
-		partialOK   = flag.Bool("partial", false, "serve partial results when a storage shard is down")
-		rate        = flag.Float64("rate", 0, "per-client request rate limit (req/s; 0 disables)")
-		apiKeys     = flag.String("api-keys", "", "comma-separated X-API-Key values granted their own rate-limit bucket (unlisted keys fall back to per-IP)")
-		drainFor    = flag.Duration("drain", 15*time.Second, "graceful shutdown budget")
+		addr       = flag.String("addr", ":8080", "listen address")
+		units      = flag.Int("units", 20, "simulated units")
+		sensors    = flag.Int("sensors", 60, "sensors per unit")
+		nodes      = flag.Int("nodes", 4, "storage nodes")
+		train      = flag.Int("train", 120, "training window (steps)")
+		onset      = flag.Int64("onset", 150, "fault onset step")
+		tick       = flag.Duration("tick", 2*time.Second, "live-loop interval (one fleet second per tick)")
+		partitions = flag.Int("partitions", 0, "commit-log partitions (0: one per unit, capped at 16)")
+		workers    = flag.Int("workers", 2, "streaming detector workers (0: detect synchronously per tick)")
+		cache      = flag.Int("cache", 512, "query-tier window cache entries (negative disables)")
+		maxPoints  = flag.Int("maxpoints", 400, "max rendered samples per series (LTTB; 0 takes the gateway default of 512)")
+		rate       = flag.Float64("rate", 0, "per-client request rate limit (req/s; 0 disables)")
+		apiKeys    = flag.String("api-keys", "", "comma-separated X-API-Key values granted their own rate-limit bucket (unlisted keys fall back to per-IP)")
+		drainFor   = flag.Duration("drain", 15*time.Second, "graceful shutdown budget")
 	)
 	flag.Parse()
 
@@ -124,47 +117,16 @@ func main() {
 		}
 	}()
 
-	// The read path: scatter-gather across the TSD tier with a
-	// watermark-invalidated window cache and LTTB-bounded payloads.
-	addrs := sys.TSDB.Addrs()
-	if *fanout > 0 && *fanout < len(addrs) {
-		addrs = addrs[:*fanout]
-	}
-	partial := query.PartialFail
-	if *partialOK {
-		partial = query.PartialServe
-	}
-	engine := query.New(sys.Cluster.Network(), addrs, sys.TSDB.Watermarks(), query.Config{
-		MaxEntries:   *cache,
-		WindowBucket: *cacheBucket,
-		Partial:      partial,
-		Timeout:      10 * time.Second,
-	})
-	backend := &viz.Backend{
-		Q:         engine,
-		Units:     *units,
-		Sensors:   *sensors,
-		MaxPoints: *maxPoints,
-	}
-	tail := sys.NewAnomalyTail()
-	reg := telemetry.NewRegistry()
-	sys.RegisterMetrics(reg)
-	reg.RegisterCounter("query_cache_hits", &engine.CacheHits)
-	reg.RegisterCounter("query_cache_misses", &engine.CacheMisses)
-	reg.RegisterCounter("stream_events", &tail.Events)
-	reg.RegisterCounter("stream_dropped", &tail.Dropped)
-	gw := api.New(api.Config{
-		Backend:    backend,
-		Publisher:  &api.BusPublisher{Topic: bus.LocalTopic{Topic: sys.Topic()}},
-		Query:      engine,
-		Tail:       tail,
-		Registry:   reg,
-		HTML:       viz.NewServer(backend, now.Load),
-		Ready:      sys.ReadyChecks(),
-		Detectors:  sys.DetectorStatus,
-		Now:        now.Load,
-		RatePerSec: *rate,
-		APIKeys:    api.SplitKeys(*apiKeys),
+	// The read path: the system's gateway — scatter-gather across the
+	// TSD tier behind the shared circuit breakers, a watermark-
+	// invalidated window cache with stale serving, LTTB-bounded
+	// payloads and the SSE anomaly tail.
+	gw, tail := sys.Gateway(0, sentinel.GatewayConfig{
+		Now:          now.Load,
+		MaxPoints:    *maxPoints,
+		CacheEntries: *cache,
+		RatePerSec:   *rate,
+		APIKeys:      api.SplitKeys(*apiKeys),
 	})
 
 	srv := &http.Server{

@@ -14,12 +14,10 @@ import (
 	"time"
 
 	"repro/internal/bus"
-	"repro/internal/hbase"
 	"repro/internal/ingest"
-	"repro/internal/proxy"
 	"repro/internal/simdata"
 	"repro/internal/telemetry"
-	"repro/internal/tsdb"
+	"repro/sentinel"
 )
 
 func main() {
@@ -38,25 +36,15 @@ func main() {
 	fmt.Printf("%-8s %-24s %-20s\n", "nodes", "paper-scale samples/s", "hottest node share")
 	var xs, ys []float64
 	for _, nodes := range []int{2, 4, 6, 8} {
-		cluster, err := hbase.NewCluster(hbase.Config{
-			RegionServers:    nodes,
-			ServiceRatePerRS: paperRate * speedup,
+		st, err := sentinel.NewStorage(sentinel.Config{
+			StorageNodes:     nodes,
+			PerNodeRate:      paperRate * speedup,
+			ProxyMaxInFlight: 2 * nodes,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		deploy, err := tsdb.NewDeployment(cluster, nodes, tsdb.TSDConfig{SaltBuckets: nodes})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := deploy.CreateTable(); err != nil {
-			log.Fatal(err)
-		}
-		px, err := proxy.New(cluster.Network(), deploy.Addrs(), proxy.Config{MaxInFlight: 2 * nodes})
-		if err != nil {
-			log.Fatal(err)
-		}
-		driver := ingest.NewDriver(fleet, px, ingest.DriverConfig{BatchSize: 500, Senders: 8})
+		driver := ingest.NewDriver(fleet, st.Proxy, ingest.DriverConfig{BatchSize: 500, Senders: 8})
 		start := time.Now()
 		var total int64
 		for step := int64(0); time.Since(start) < window; step++ {
@@ -66,16 +54,15 @@ func main() {
 			}
 			total += stats.Samples
 		}
-		px.Flush()
+		st.Proxy.Flush()
 		rate := float64(total) / time.Since(start).Seconds() / speedup
 		maxShare := 0.0
-		for _, s := range cluster.WriteShares() {
+		for _, s := range st.Cluster.WriteShares() {
 			if s > maxShare {
 				maxShare = s
 			}
 		}
-		px.Close()
-		cluster.Stop()
+		st.Close()
 		fmt.Printf("%-8d %-24.0f %-20.0f%%\n", nodes, rate, 100*maxShare)
 		xs = append(xs, float64(nodes))
 		ys = append(ys, rate)

@@ -452,8 +452,8 @@ func validatePoints(pts []tsdb.Point) ([]tsdb.Point, error) {
 		return nil, errBadRequest("no points in request")
 	}
 	for i := range pts {
-		if pts[i].Metric == "" {
-			return nil, errBadRequest("point %d has no metric", i)
+		if err := pts[i].Validate(); err != nil {
+			return nil, errBadRequest("point %d: %v", i, err)
 		}
 	}
 	return pts, nil

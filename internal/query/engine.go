@@ -56,33 +56,11 @@ func MarkDegraded(ctx context.Context) {
 	}
 }
 
-// PartialPolicy decides what happens when a shard still fails after
-// failing over across every TSD.
-type PartialPolicy int
-
-const (
-	// PartialFail fails the whole query on any unrecoverable shard —
-	// the default: never silently serve a hole in the data.
-	PartialFail PartialPolicy = iota
-	// PartialServe drops the dead shard, serves what arrived and
-	// counts the gap in Partials — availability over completeness,
-	// for dashboards that prefer a sparser chart to an error page.
-	PartialServe
-)
-
 // Config tunes an Engine.
 type Config struct {
 	// MaxEntries is the window-cache capacity in entries (default 512;
 	// negative disables caching and singleflight).
 	MaxEntries int
-	// WindowBucket, when > 0, snaps cache windows onto a grid of this
-	// many seconds: a query for [from, to] fills (and serves from) the
-	// bucket-aligned superset window, trimmed back to the request.
-	// Nearby windows — a dashboard auto-refreshing against a moving
-	// "now" — then share entries instead of each missing.
-	WindowBucket int64
-	// Partial is the shard failure policy (default PartialFail).
-	Partial PartialPolicy
 	// Timeout, when > 0, bounds each query when the caller's context
 	// carries no deadline of its own.
 	Timeout time.Duration
@@ -135,10 +113,9 @@ type Engine struct {
 	CacheMisses telemetry.Counter
 	Collapsed   telemetry.Counter
 	// SubQueries counts shard RPCs issued; Failovers shard retries on
-	// another TSD; Partials shards dropped under PartialServe.
+	// another TSD.
 	SubQueries telemetry.Counter
 	Failovers  telemetry.Counter
-	Partials   telemetry.Counter
 	// Hedged counts duplicate straggler sub-queries issued; HedgeWins
 	// those answered by the hedge before the primary.
 	Hedged    telemetry.Counter
@@ -192,24 +169,18 @@ func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series,
 			defer cancel()
 		}
 	}
-	from, to := q.Start, q.End
-	if w := e.cfg.WindowBucket; w > 0 {
-		from = tsdb.BucketStart(from, w)
-		to = tsdb.BucketStart(to, w) + w - 1
-	}
 	if e.cache == nil {
-		series, err := e.fetch(ctx, q, q.Start, q.End)
-		return series, err
+		return e.fetch(ctx, q)
 	}
 
 	ver := e.marks.Version(q.Metric)
 	e.mu.Lock()
-	key := e.key.key(&q, from, to)
+	key := e.key.key(&q)
 	if ent, ok := e.cache.get(key); ok && ent.version == ver {
 		e.CacheHits.Inc()
 		series := ent.series
 		e.mu.Unlock()
-		return trim(series, q.Start, q.End, from, to), nil
+		return series, nil
 	}
 	e.CacheMisses.Inc()
 	skey := string(key)
@@ -225,7 +196,7 @@ func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series,
 				e.DegradedServes.Inc()
 				MarkDegraded(ctx)
 			}
-			return trim(fl.series, q.Start, q.End, from, to), nil
+			return fl.series, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -234,7 +205,7 @@ func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series,
 	e.flight[skey] = fl
 	e.mu.Unlock()
 
-	series, err := e.fetch(ctx, q, from, to)
+	series, err := e.fetch(ctx, q)
 	degraded := false
 	if err != nil && e.cfg.ServeStale && !errors.Is(err, tsdb.ErrNoSuchMetric) {
 		// The fresh path is down (open circuits, dead shards). A stale
@@ -263,7 +234,7 @@ func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series,
 	if err != nil {
 		return nil, err
 	}
-	return trim(series, q.Start, q.End, from, to), nil
+	return series, nil
 }
 
 // fetch scatter-gathers [from, to]: the window is sharded across the
@@ -271,8 +242,8 @@ func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series,
 // fail over to the remaining daemons, and shard results merge into
 // ID-sorted series. A per-query MaxPoints bounds each merged series
 // via LTTB — a rendering bound; counting queries leave it 0.
-func (e *Engine) fetch(ctx context.Context, q tsdb.Query, from, to int64) ([]tsdb.Series, error) {
-	shards := shardWindow(from, to, len(e.addrs), q.DownsampleSeconds)
+func (e *Engine) fetch(ctx context.Context, q tsdb.Query) ([]tsdb.Series, error) {
+	shards := shardWindow(q.Start, q.End, len(e.addrs), q.DownsampleSeconds)
 	futs := make([]*rpc.Future, len(shards))
 	brs := make([]*resilience.Breaker, len(shards))
 	for i, sh := range shards {
@@ -307,10 +278,6 @@ func (e *Engine) fetch(ctx context.Context, q tsdb.Query, from, to int64) ([]tsd
 		if err != nil {
 			if errors.Is(err, tsdb.ErrNoSuchMetric) {
 				missing++
-				continue
-			}
-			if e.cfg.Partial == PartialServe && ctx.Err() == nil {
-				e.Partials.Inc()
 				continue
 			}
 			// Failing the query abandons the shards not yet awaited;
@@ -534,27 +501,6 @@ func shardWindow(from, to int64, n int, width int64) [][2]int64 {
 	}
 	if lo <= to {
 		out = append(out, [2]int64{lo, to})
-	}
-	return out
-}
-
-// trim cuts series fetched for the expanded window [gotFrom, gotTo]
-// back to the requested [from, to]. The exact-match fast path returns
-// the shared slice untouched (the zero-allocation cache-hit path);
-// otherwise samples are re-sliced in place against the same backing
-// arrays.
-func trim(series []tsdb.Series, from, to, gotFrom, gotTo int64) []tsdb.Series {
-	if from <= gotFrom && to >= gotTo {
-		return series
-	}
-	out := make([]tsdb.Series, 0, len(series))
-	for _, ser := range series {
-		lo := sort.Search(len(ser.Samples), func(i int) bool { return ser.Samples[i].Timestamp >= from })
-		hi := sort.Search(len(ser.Samples), func(i int) bool { return ser.Samples[i].Timestamp > to })
-		if lo >= hi {
-			continue
-		}
-		out = append(out, tsdb.Series{Metric: ser.Metric, Tags: ser.Tags, Samples: ser.Samples[lo:hi]})
 	}
 	return out
 }

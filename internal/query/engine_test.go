@@ -147,27 +147,9 @@ func TestPartialFailurePolicy(t *testing.T) {
 	addrs := []string{"tsd/flaky-1", "tsd/flaky-2"}
 	q := tsdb.Query{Metric: tsdb.MetricEnergy, Tags: tsdb.EnergyTags(0, 0), Start: 0, End: 99}
 
-	strict := New(net, addrs, d.Watermarks(), Config{MaxEntries: -1})
-	if _, err := strict.QueryContext(context.Background(), q); err == nil {
-		t.Fatal("PartialFail must surface the dead shard")
-	}
-
-	lax := New(net, addrs, d.Watermarks(), Config{MaxEntries: -1, Partial: PartialServe})
-	series, err := lax.QueryContext(context.Background(), q)
-	if err != nil {
-		t.Fatalf("PartialServe errored: %v", err)
-	}
-	if len(series) != 1 {
-		t.Fatalf("series = %d, want 1", len(series))
-	}
-	for _, s := range series[0].Samples {
-		if s.Timestamp >= 50 {
-			t.Fatalf("sample %d leaked from the dead window", s.Timestamp)
-		}
-	}
-	if len(series[0].Samples) == 0 || lax.Partials.Value() == 0 {
-		t.Fatalf("partial serve: %d samples, %d partials — want live-half data and a counted gap",
-			len(series[0].Samples), lax.Partials.Value())
+	e := New(net, addrs, d.Watermarks(), Config{MaxEntries: -1})
+	if _, err := e.QueryContext(context.Background(), q); err == nil {
+		t.Fatal("a shard that fails on every TSD must fail the query, not leave a hole")
 	}
 }
 
@@ -235,26 +217,6 @@ func TestCacheEviction(t *testing.T) {
 	mustQuery(t, e, tsdb.Query{Metric: tsdb.MetricEnergy, Start: 20, End: 29})
 	if e.CacheHits.Value() != 1 {
 		t.Fatalf("hits = %d, want 1", e.CacheHits.Value())
-	}
-}
-
-func TestWindowBucketingSharesEntriesAndTrims(t *testing.T) {
-	d := newEnv(t, 2, 1, 1, 60)
-	e := NewFromDeployment(d, Config{MaxEntries: 16, WindowBucket: 10})
-	qa := tsdb.Query{Metric: tsdb.MetricEnergy, Start: 3, End: 17}
-	qb := tsdb.Query{Metric: tsdb.MetricEnergy, Start: 2, End: 16}
-
-	got := mustQuery(t, e, qa)
-	if want := groundTruth(t, d, qa); !reflect.DeepEqual(got, want) {
-		t.Fatalf("bucketed window not trimmed to request:\ngot  %v\nwant %v", got, want)
-	}
-	// A nearby window in the same buckets is served from cache.
-	got = mustQuery(t, e, qb)
-	if want := groundTruth(t, d, qb); !reflect.DeepEqual(got, want) {
-		t.Fatalf("trimmed hit diverged:\ngot  %v\nwant %v", got, want)
-	}
-	if e.CacheHits.Value() != 1 {
-		t.Fatalf("hits = %d, want 1 (bucket sharing)", e.CacheHits.Value())
 	}
 }
 

@@ -20,9 +20,9 @@ import (
 // and idempotent point writes mean two groups can both hold a sample
 // (a replayed batch that landed twice after a failover), and the
 // duplicate must not render as two points. Any group failure fails the
-// query — a missing group is a hole across the whole fleet, which the
-// per-engine PartialPolicy cannot see; degraded serving still applies
-// inside each engine before its error surfaces here.
+// query — a missing group is a hole across the whole fleet; degraded
+// serving still applies inside each engine before its error surfaces
+// here.
 //
 // Fanout satisfies viz.Querier, so a gateway node fronts a multi-store
 // cluster exactly as it fronts one deployment. Safe for concurrent

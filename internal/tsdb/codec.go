@@ -13,6 +13,11 @@ import (
 // one hour; column qualifiers hold the offset within it).
 const rowBaseSeconds = 3600
 
+// maxTimestamp is the last storable second. A row key holds its hour
+// base as a uint32, and a scan's exclusive end key is the next base,
+// so the last row's base plus one span must fit in a uint32 too.
+const maxTimestamp = (math.MaxUint32-rowBaseSeconds)/rowBaseSeconds*rowBaseSeconds + rowBaseSeconds - 1
+
 // Codec translates points to HBase cells and back. It owns the
 // paper's key-design lever: with SaltBuckets == 0 keys begin with the
 // metric UID and hour base time — sequential writes of one metric all
@@ -257,10 +262,10 @@ func (c *Codec) timeWindow(start, end int64) hbase.TimeWindow {
 
 // rowRanges returns the scan ranges covering metric UID mu over
 // [start, end] — one range per salt bucket (or a single unsalted one).
-// Stored timestamps are never negative, so a negative start is read
-// as 0 (and a window ending before 0 needs no scan).
+// Stored timestamps lie in [0, maxTimestamp], so the window is clamped
+// to that range (and a window outside it needs no scan).
 func (c *Codec) rowRanges(mu uint32, start, end int64) [][2][]byte {
-	start = max(start, 0)
+	start, end = max(start, 0), min(end, maxTimestamp)
 	if end < start {
 		return nil
 	}

@@ -75,6 +75,9 @@ func (p *Point) Validate() error {
 	if p.Timestamp < 0 {
 		return fmt.Errorf("%w: negative timestamp", ErrBadPoint)
 	}
+	if p.Timestamp > maxTimestamp {
+		return fmt.Errorf("%w: timestamp %d past the storable maximum %d", ErrBadPoint, p.Timestamp, maxTimestamp)
+	}
 	if len(p.Tags) == 0 {
 		return fmt.Errorf("%w: at least one tag required", ErrBadPoint)
 	}

@@ -7,7 +7,9 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/hbase"
 )
 
@@ -47,6 +49,42 @@ func TestPointValidate(t *testing.T) {
 	}
 }
 
+// TestTimestampRangeEdge: a row key stores its hour base as a uint32,
+// so the last storable second is 4294965599 (the last hour whose
+// successor base still fits). Later points are rejected instead of
+// aliasing hour 0, and a query ending past the range still finds the
+// last hour's rows.
+func TestTimestampRangeEdge(t *testing.T) {
+	const last = 4294965599
+	for _, ts := range []int64{last + 1, 1 << 32, 1<<32 + 5} {
+		p := EnergyPoint(1, 1, ts, 1)
+		if err := p.Validate(); !errors.Is(err, ErrBadPoint) {
+			t.Fatalf("timestamp %d accepted (err %v)", ts, err)
+		}
+	}
+	d := newDeployment(t, 2, 1, TSDConfig{SaltBuckets: 2})
+	tsd := d.TSDs()[0]
+	if err := tsd.Put([]Point{EnergyPoint(1, 1, last-3600, 1), EnergyPoint(1, 1, last, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tsd.Put([]Point{EnergyPoint(1, 1, 1<<32, 3)}); !errors.Is(err, ErrBadPoint) {
+		t.Fatalf("put at 2^32: err %v, want ErrBadPoint", err)
+	}
+	for _, end := range []int64{last, last + 1, 1<<32 - 1, 1 << 32, 1 << 40, math.MaxInt64} {
+		series, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1), Start: last - 7200, End: end})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(series) != 1 || len(series[0].Samples) != 2 || series[0].Samples[1].Timestamp != last {
+			t.Fatalf("query ending at %d: %+v, want the samples at %d and %d", end, series, int64(last-3600), int64(last))
+		}
+	}
+	series, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1), Start: 0, End: 3600})
+	if err != nil || len(series) != 0 {
+		t.Fatalf("hour 0 holds %+v (err %v), want nothing", series, err)
+	}
+}
+
 func TestUIDTableRoundTripAndReload(t *testing.T) {
 	d := newDeployment(t, 2, 1, TSDConfig{SaltBuckets: 4})
 	u := d.UIDs
@@ -78,6 +116,71 @@ func TestUIDTableRoundTripAndReload(t *testing.T) {
 	id4, _ := u.GetOrCreate(kindMetric, "third")
 	if id4 <= id3 {
 		t.Fatalf("post-reload allocation %d must exceed %d", id4, id3)
+	}
+}
+
+// TestUIDReloadDuringPersistKeepsIDsDistinct: GetOrCreate publishes a
+// new id before persisting it. A Reload that scans in that gap must
+// keep the unpersisted assignment, or the next new name reuses its id
+// and two series alias.
+func TestUIDReloadDuringPersistKeepsIDsDistinct(t *testing.T) {
+	cluster, err := hbase.NewCluster(hbase.Config{RegionServers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.Stop)
+	d, err := NewDeployment(cluster, 1, TSDConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CreateTable(); err != nil {
+		t.Fatal(err)
+	}
+	u := d.UIDs
+	// Hold every region-server put for a while: the persist of the
+	// first name is in flight while Reload scans.
+	inj := faultinject.New(1)
+	for _, rs := range cluster.RegionServers() {
+		inj.Set("slow-put-"+rs.Name(), faultinject.Rule{Op: "rpc/rs/" + rs.Name() + "/put", Latency: 200 * time.Millisecond})
+	}
+	cluster.Network().SetFaults(inj)
+
+	type result struct {
+		id  uint32
+		err error
+	}
+	firstDone := make(chan result, 1)
+	go func() {
+		id, err := u.GetOrCreate(kindMetric, "first")
+		firstDone <- result{id, err}
+	}()
+	for {
+		if _, ok := u.Lookup(kindMetric, "first"); ok {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := u.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	second, err := u.GetOrCreate(kindMetric, "second")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := <-firstDone
+	if first.err != nil {
+		t.Fatal(first.err)
+	}
+	if first.id == second {
+		t.Fatalf("first and second share uid %d", second)
+	}
+	for id, want := range map[uint32]string{first.id: "first", second: "second"} {
+		if got, ok := u.Name(kindMetric, id); !ok || got != want {
+			t.Fatalf("Name(%d) = %q, %v; want %q", id, got, ok, want)
+		}
+		if got, ok := u.Lookup(kindMetric, want); !ok || got != id {
+			t.Fatalf("Lookup(%q) = %d, %v; want %d", want, got, ok, id)
+		}
 	}
 }
 

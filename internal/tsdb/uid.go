@@ -143,8 +143,11 @@ func (u *UIDTable) Name(kind uidKind, id uint32) (string, bool) {
 	return s[id], true
 }
 
-// Reload rebuilds the in-memory dictionaries from the persisted rows,
-// as a freshly started TSD would.
+// Reload merges the persisted assignments into the in-memory
+// dictionaries, as a freshly started TSD would load them. It merges
+// rather than replaces: GetOrCreate persists an id only after
+// publishing it, so a scan can miss assignments made in memory, and
+// dropping them (or moving next back) would hand their ids out again.
 func (u *UIDTable) Reload() error {
 	start := []byte{metaPrefix, 'u'}
 	end := []byte{metaPrefix, 'u' + 1}
@@ -154,8 +157,12 @@ func (u *UIDTable) Reload() error {
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	forward, next := emptyDicts()
+	// Private copies of the reverse slices: readers may hold the
+	// published ones.
 	names := make(map[uidKind][]string)
+	for kind, p := range u.names {
+		names[kind] = append([]string(nil), *p.Load()...)
+	}
 	for _, c := range cells {
 		if len(c.Row) < 4 || len(c.Value) != uidWidth {
 			continue
@@ -163,16 +170,15 @@ func (u *UIDTable) Reload() error {
 		kind := uidKind(c.Row[2])
 		name := string(c.Row[3:])
 		id := readUID(c.Value)
-		if _, ok := forward[kind]; !ok {
+		if _, ok := u.forward[kind]; !ok {
 			continue
 		}
-		forward[kind][name] = id
+		u.forward[kind][name] = id
 		names[kind] = withName(names[kind], id, name)
-		if id >= next[kind] {
-			next[kind] = id + 1
+		if id >= u.next[kind] {
+			u.next[kind] = id + 1
 		}
 	}
-	u.forward, u.next = forward, next
 	for kind, p := range u.names {
 		s := names[kind]
 		p.Store(&s)

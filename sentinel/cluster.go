@@ -7,9 +7,10 @@
 //   - broker  — a bus replica: partition-log storage, candidate in the
 //     partition-group elections, coordinator for remote consumers
 //     while it leads.
-//   - store   — an HBase cluster + TSD tier + ingestion proxy, plus a
-//     bus replica (so publishes stay acked-durable when the broker
-//     dies and a store follower is promoted). Its storage writers
+//   - store   — the storage stack (NewStorage: HBase cluster, TSD
+//     tier, circuit breakers, ingestion proxy, sealed tier with its
+//     compactor), plus a bus replica (so publishes stay acked-durable
+//     when the broker dies and a store follower is promoted). Its storage writers
 //     consume the shared "energy" topic through the remote bus.
 //   - detect  — a DetectorPool consuming "energy" remotely, writing
 //     flags to the store tier over rpc and publishing them on the
@@ -44,13 +45,10 @@ import (
 	"repro/internal/api"
 	v1 "repro/internal/api/v1"
 	"repro/internal/bus"
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/fdr"
-	"repro/internal/hbase"
 	"repro/internal/ingest"
 	"repro/internal/mllib"
-	"repro/internal/proxy"
 	"repro/internal/query"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
@@ -176,12 +174,6 @@ func (c NodeConfig) withNodeDefaults() NodeConfig {
 	if c.StorageNodes <= 0 {
 		c.StorageNodes = 2
 	}
-	if c.SaltBuckets == 0 {
-		c.SaltBuckets = c.StorageNodes
-	}
-	if c.SaltBuckets < 0 {
-		c.SaltBuckets = 0
-	}
 	if c.StorageWriters <= 0 {
 		c.StorageWriters = 2
 	}
@@ -262,10 +254,9 @@ type Node struct {
 	BusSvc *bus.Service
 	rb     *bus.RemoteBus
 
-	// Store-role tiers.
-	Cluster *hbase.Cluster
-	TSDB    *tsdb.Deployment
-	Proxy   *proxy.Proxy
+	// Store-role tiers: the storage stack (nil on other roles) and
+	// the consumer group draining the bus into its proxy.
+	Storage *Storage
 	Writers *ingest.StorageWriters
 
 	// Detect-role pool.
@@ -307,16 +298,21 @@ func StartNode(cfg NodeConfig) (node *Node, err error) {
 
 	// The fabric. A store node reuses its storage cluster's network so
 	// the TSD daemons answer on this node's one listener; other roles
-	// get a fresh fabric.
+	// get a fresh fabric. A store's proxy retries without bound: in a
+	// cluster the writers never drop a committed record — redelivery
+	// and idempotent writes handle the rest. Its compactor runs at
+	// ingestd's cadence.
 	if cfg.has(RoleStore) {
-		n.Cluster, err = hbase.NewCluster(hbase.Config{
-			RegionServers: cfg.StorageNodes,
-			Clock:         clock.Real{},
+		n.Storage, err = NewStorage(Config{
+			StorageNodes:    cfg.StorageNodes,
+			SaltBuckets:     cfg.SaltBuckets,
+			ProxyMaxRetries: -1,
+			CompactEvery:    15 * time.Second,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("sentinel: %s: boot cluster: %w", cfg.Name, err)
+			return nil, fmt.Errorf("sentinel: %s: %w", cfg.Name, err)
 		}
-		n.net = n.Cluster.Network()
+		n.net = n.Storage.Cluster.Network()
 	} else {
 		n.net = rpc.NewNetwork(0, nil)
 		n.ownNet = true
@@ -399,24 +395,11 @@ func StartNode(cfg NodeConfig) (node *Node, err error) {
 		Partitions: cfg.Partitions,
 	})
 
-	// Store tier: deployment, table, proxy, and the storage consumer
-	// group draining the shared topic through the proxy. Unbounded
-	// retries: in a cluster the writers never drop a committed
-	// record — redelivery and idempotent writes handle the rest.
-	if cfg.has(RoleStore) {
-		if n.TSDB, err = tsdb.NewDeployment(n.Cluster, cfg.StorageNodes, tsdb.TSDConfig{
-			SaltBuckets: cfg.SaltBuckets,
-		}); err != nil {
-			return nil, fmt.Errorf("sentinel: %s: boot tsdb: %w", cfg.Name, err)
-		}
-		if err = n.TSDB.CreateTable(); err != nil {
-			return nil, fmt.Errorf("sentinel: %s: create table: %w", cfg.Name, err)
-		}
-		if n.Proxy, err = proxy.New(n.net, n.TSDB.Addrs(), proxy.Config{MaxRetries: -1}); err != nil {
-			return nil, fmt.Errorf("sentinel: %s: boot proxy: %w", cfg.Name, err)
-		}
+	// Store tier: the storage consumer group draining the shared topic
+	// through the proxy.
+	if n.Storage != nil {
 		n.Writers = ingest.StartStorageWriters(ctx,
-			n.rb.Topic(TopicEnergy).Group(GroupStorage), n.Proxy, cfg.StorageWriters)
+			n.rb.Topic(TopicEnergy).Group(GroupStorage), n.Storage.Proxy, cfg.StorageWriters)
 	}
 
 	// Register membership before the blocking waits below, so peers
@@ -555,8 +538,8 @@ func (n *Node) record() nodeRecord {
 	for _, role := range n.cfg.Roles {
 		r.Roles = append(r.Roles, string(role))
 	}
-	if n.TSDB != nil {
-		for _, a := range n.TSDB.Addrs() {
+	if n.Storage != nil {
+		for _, a := range n.Storage.TSDB.Addrs() {
 			r.TSDs = append(r.TSDs, n.cfg.Name+"/"+a)
 		}
 	}
@@ -763,15 +746,8 @@ func (n *Node) registerMetrics() {
 		reg.RegisterCounter("writer_parks", &n.Writers.Parks)
 		reg.RegisterGauge("writer_parked", &n.Writers.Parked)
 	}
-	if n.Proxy != nil {
-		reg.RegisterCounter("proxy_accepted", &n.Proxy.Accepted)
-		reg.RegisterCounter("proxy_delivered", &n.Proxy.Delivered)
-		reg.RegisterCounter("proxy_dropped", &n.Proxy.Dropped)
-		reg.RegisterCounter("proxy_retries", &n.Proxy.Retries)
-	}
-	if n.TSDB != nil {
-		reg.RegisterFunc("tsdb_points_written", n.TSDB.PointsWritten)
-		reg.RegisterFunc("tsdb_queries_served", n.TSDB.QueriesServed)
+	if n.Storage != nil {
+		n.Storage.RegisterMetrics(reg)
 	}
 	if n.Pool != nil {
 		reg.RegisterCounter("samples_evaluated", &n.Pool.SamplesEvaluated)
@@ -828,9 +804,6 @@ func (n *Node) Close() {
 		if n.Bus != nil {
 			n.Bus.Close()
 		}
-		if n.Proxy != nil {
-			n.Proxy.Close()
-		}
 		if n.zkRemote != nil {
 			n.zkRemote.Close()
 		}
@@ -843,8 +816,8 @@ func (n *Node) Close() {
 		if n.transport != nil {
 			n.transport.Close()
 		}
-		if n.Cluster != nil {
-			n.Cluster.Stop()
+		if n.Storage != nil {
+			n.Storage.Close()
 		}
 		if n.ownNet && n.net != nil {
 			n.net.Close()

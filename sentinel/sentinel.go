@@ -16,10 +16,12 @@
 //
 //	sys, _ := sentinel.New(sentinel.Config{StorageNodes: 5, Units: 10, SensorsPerUnit: 50})
 //	defer sys.Close()
-//	sys.IngestRange(0, 120)                  // stream two minutes of data
-//	sys.TrainFromTSDB(0, 100, true)          // fit per-unit models
-//	reports, _ := sys.Detect(100, 20)        // flag anomalies, write back
-//	http.ListenAndServe(":8080", sys.Viz(120)) // serve the control center
+//	sys.IngestRange(0, 120)                                 // stream two minutes of data
+//	sys.TrainFromTSDB(0, 100, true)                         // fit per-unit models
+//	reports, _ := sys.Detect(100, 20)                       // flag anomalies, write back
+//	gw, tail := sys.Gateway(120, sentinel.GatewayConfig{}) // serve the control center
+//	defer tail.Close()
+//	http.ListenAndServe(":8080", gw)
 package sentinel
 
 import (
@@ -36,16 +38,13 @@ import (
 	"repro/internal/api"
 	v1 "repro/internal/api/v1"
 	"repro/internal/bus"
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/faultinject"
 	"repro/internal/fdr"
-	"repro/internal/hbase"
 	"repro/internal/hdfs"
 	"repro/internal/ingest"
 	"repro/internal/mllib"
-	"repro/internal/proxy"
 	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/simdata"
@@ -238,26 +237,15 @@ func (c Config) withDefaults() Config {
 type System struct {
 	cfg Config
 
+	// Storage is the storage stack (cluster, TSDs, proxy, breakers,
+	// sealed tier) every runtime builds through NewStorage; its fields
+	// are promoted (sys.TSDB, sys.Proxy, sys.Blocks, …).
+	*Storage
+
 	Fleet   *simdata.Fleet
-	Cluster *hbase.Cluster
-	TSDB    *tsdb.Deployment
-	Proxy   *proxy.Proxy
 	Engine  *dataflow.Engine
 	Catalog *core.ModelCatalog
 	Trainer *core.Trainer
-
-	// Blocks is the deployment-shared compressed sealed tier; closed
-	// storage rows compact into it and spill to HDFS under retention
-	// (see internal/tsdb). Compactor drives its maintenance passes —
-	// running in the background when Config.CompactEvery > 0, and
-	// manually through CompactNow always.
-	Blocks    *tsdb.BlockStore
-	Compactor *tsdb.Compactor
-
-	// Breakers holds the per-TSD circuit breakers shared by the
-	// ingestion proxy and the gateway's query tier: one health view
-	// per backend, fed by both read and write outcomes.
-	Breakers *resilience.Group
 
 	// Bus is the partitioned commit log decoupling producers from the
 	// storage and detection tiers; Writers drains it into the proxy.
@@ -291,77 +279,30 @@ func New(cfg Config) (*System, error) {
 		DriftPerStep:   cfg.DriftPerStep,
 		ShiftSigma:     cfg.ShiftSigma,
 	})
-	cluster, err := hbase.NewCluster(hbase.Config{
-		RegionServers:    cfg.StorageNodes,
-		RSQueueCap:       cfg.RSQueueCap,
-		CrashOnOverflow:  cfg.CrashOnOverflow,
-		ServiceRatePerRS: cfg.PerNodeRate,
-		Clock:            clock.Real{},
-	})
+	st, err := newStorage(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("sentinel: boot cluster: %w", err)
-	}
-	deployment, err := tsdb.NewDeployment(cluster, cfg.StorageNodes, tsdb.TSDConfig{
-		SaltBuckets: cfg.SaltBuckets,
-	})
-	if err != nil {
-		cluster.Stop()
-		return nil, fmt.Errorf("sentinel: boot tsdb: %w", err)
-	}
-	if err := deployment.CreateTable(); err != nil {
-		cluster.Stop()
-		return nil, fmt.Errorf("sentinel: create table: %w", err)
-	}
-	breakers := resilience.NewGroup(cfg.Breaker)
-	px, err := proxy.New(cluster.Network(), deployment.Addrs(), proxy.Config{
-		MaxInFlight:   cfg.ProxyMaxInFlight,
-		BufferBatches: cfg.ProxyBuffer,
-		MaxRetries:    cfg.ProxyMaxRetries,
-		Breakers:      breakers,
-	})
-	if err != nil {
-		cluster.Stop()
-		return nil, fmt.Errorf("sentinel: boot proxy: %w", err)
+		return nil, err
 	}
 	engine := dataflow.NewEngine(cfg.EngineWorkers)
-	catalog := &core.ModelCatalog{Store: &hdfs.Store{C: cluster.DFS(), Prefix: "/detector/"}}
+	catalog := &core.ModelCatalog{Store: &hdfs.Store{C: st.Cluster.DFS(), Prefix: "/detector/"}}
 	trainer := core.NewTrainer(engine, core.TrainerConfig{
 		EnergyFraction: cfg.EnergyFraction,
 		MaxComponents:  cfg.MaxComponents,
 	})
 	sys := &System{
-		cfg:      cfg,
-		Fleet:    fleet,
-		Cluster:  cluster,
-		TSDB:     deployment,
-		Proxy:    px,
-		Engine:   engine,
-		Catalog:  catalog,
-		Trainer:  trainer,
-		Breakers: breakers,
+		cfg:     cfg,
+		Storage: st,
+		Fleet:   fleet,
+		Engine:  engine,
+		Catalog: catalog,
+		Trainer: trainer,
 	}
-	// The compressed sealed tier: closed rows compact into Gorilla
-	// blocks with hot rollups, spilling to the HDFS tier under the
-	// configured retention. The compactor loop only runs when a cadence
-	// is configured; the tier itself is always attached so manual
-	// CompactNow passes (and operator tooling) work out of the box.
-	sys.Compactor = tsdb.NewCompactor(deployment,
-		tsdb.BlockStoreConfig{HotBlockBytes: cfg.HotBlockBytes},
-		tsdb.CompactorConfig{
-			Interval:  cfg.CompactEvery,
-			SealAfter: cfg.SealAfter,
-			Retention: tsdb.RetentionPolicy{RawTTL: cfg.RawTTL, RollupTTL: cfg.RollupTTL},
-		})
-	sys.Blocks = sys.Compactor.Store()
-	if cfg.CompactEvery > 0 {
-		sys.Compactor.Start()
-	}
-	sys.source = &tsdb.Source{TSD: deployment.TSDs()[0], Sensors: cfg.SensorsPerUnit}
+	sys.source = &tsdb.Source{TSD: st.TSDB.TSDs()[0], Sensors: cfg.SensorsPerUnit}
 	sys.pipeline = core.NewPipeline(
 		catalog,
 		core.EvaluatorConfig{Procedure: cfg.Procedure, Level: cfg.Level},
 		sys.source,
-		&tsdb.Sink{TSD: deployment.TSDs()[0]},
+		&tsdb.Sink{TSD: st.TSDB.TSDs()[0]},
 	)
 	// Online evaluation fans out across units on the same engine the
 	// offline trainer uses, so Detect throughput scales with cores.
@@ -380,7 +321,7 @@ func New(cfg Config) (*System, error) {
 	// consuming would retain flags forever.
 	sys.flags = sys.Bus.Topic(TopicAnomalies)
 	sys.storage = sys.topic.Group(GroupStorage)
-	sys.Writers = ingest.StartStorageWriters(context.Background(), bus.LocalGroup{Group: sys.storage}, px, cfg.StorageWriters)
+	sys.Writers = ingest.StartStorageWriters(context.Background(), bus.LocalGroup{Group: sys.storage}, st.Proxy, cfg.StorageWriters)
 	return sys, nil
 }
 
@@ -402,11 +343,10 @@ func (s *System) SetFaults(f *faultinject.Injector) {
 	s.Proxy.SetFaults(f)
 }
 
-// Close releases every component: the compactor and detector pools
-// first (both touch storage), then the storage writers and the bus,
-// then the storage tier under them.
+// Close releases every component: the detector pools first (they
+// touch storage), then the storage writers and the bus, then the
+// storage stack under them.
 func (s *System) Close() {
-	s.Compactor.Stop()
 	s.mu.Lock()
 	pools := s.pools
 	s.pools = nil
@@ -416,9 +356,8 @@ func (s *System) Close() {
 	}
 	s.Writers.Stop()
 	s.Bus.Close()
-	s.Proxy.Close()
 	s.Engine.Close()
-	s.Cluster.Stop()
+	s.Storage.Close()
 }
 
 // Topic returns the ingestion commit-log topic (for replay tooling and
@@ -583,13 +522,6 @@ func (s *System) SamplesEvaluated() int64 {
 	return s.pipeline.SamplesEvaluated.Value()
 }
 
-// QueryEngine builds a scatter-gather read tier spanning every TSD of
-// the deployment, wired to its write watermarks for cache
-// invalidation.
-func (s *System) QueryEngine(cfg query.Config) *query.Engine {
-	return query.NewFromDeployment(s.TSDB, cfg)
-}
-
 // GatewayConfig tunes the handler Gateway assembles. Zero values take
 // the api package defaults.
 type GatewayConfig struct {
@@ -639,7 +571,6 @@ func (s *System) Gateway(now int64, cfg GatewayConfig) (http.Handler, *api.Anoma
 	}
 	engine := s.QueryEngine(query.Config{
 		MaxEntries: cfg.CacheEntries,
-		Breakers:   s.Breakers,
 		HedgeDelay: cfg.HedgeDelay,
 		ServeStale: !cfg.NoServeStale,
 	})
@@ -652,10 +583,15 @@ func (s *System) Gateway(now int64, cfg GatewayConfig) (http.Handler, *api.Anoma
 	tail := s.NewAnomalyTail()
 	reg := telemetry.NewRegistry()
 	s.RegisterMetrics(reg)
-	// Query-tier resilience counters live on the per-gateway engine.
+	// Query-tier and SSE-tail counters live on the per-gateway engine
+	// and tail.
+	reg.RegisterCounter("query_cache_hits", &engine.CacheHits)
+	reg.RegisterCounter("query_cache_misses", &engine.CacheMisses)
 	reg.RegisterCounter("query_hedged", &engine.Hedged)
 	reg.RegisterCounter("query_hedge_wins", &engine.HedgeWins)
 	reg.RegisterCounter("query_degraded_serves", &engine.DegradedServes)
+	reg.RegisterCounter("stream_events", &tail.Events)
+	reg.RegisterCounter("stream_dropped", &tail.Dropped)
 	gw := api.New(api.Config{
 		Backend:    backend,
 		Publisher:  &api.BusPublisher{Topic: bus.LocalTopic{Topic: s.topic}},
@@ -676,17 +612,6 @@ func (s *System) Gateway(now int64, cfg GatewayConfig) (http.Handler, *api.Anoma
 	return gw, tail
 }
 
-// Viz returns the web application handler; now is the fleet time the
-// pages treat as "current".
-//
-// Deprecated: Viz serves the gateway without exposing its anomaly
-// tail, which therefore lives until System.Close. Use Gateway for
-// shutdown control.
-func (s *System) Viz(now int64) http.Handler {
-	h, _ := s.Gateway(now, GatewayConfig{})
-	return h
-}
-
 // RegisterMetrics exposes the system's counters on reg under the
 // names the /metrics endpoints serve.
 func (s *System) RegisterMetrics(reg *telemetry.Registry) {
@@ -696,30 +621,8 @@ func (s *System) RegisterMetrics(reg *telemetry.Registry) {
 	reg.RegisterFunc("storage_lag", s.storage.Lag)
 	reg.RegisterCounter("writer_delivered", &s.Writers.Delivered)
 	reg.RegisterCounter("writer_failures", &s.Writers.Failures)
-	reg.RegisterCounter("proxy_accepted", &s.Proxy.Accepted)
-	reg.RegisterCounter("proxy_delivered", &s.Proxy.Delivered)
-	reg.RegisterCounter("proxy_dropped", &s.Proxy.Dropped)
-	reg.RegisterCounter("proxy_retries", &s.Proxy.Retries)
-	reg.RegisterGauge("proxy_queue_depth", &s.Proxy.QueueDepth)
 	reg.RegisterFunc("samples_evaluated", s.SamplesEvaluated)
-	reg.RegisterFunc("tsdb_points_written", s.TSDB.PointsWritten)
-	reg.RegisterFunc("tsdb_queries_served", s.TSDB.QueriesServed)
-	reg.RegisterCounter("breaker_opens", &s.Breakers.Opens)
-	reg.RegisterCounter("breaker_half_opens", &s.Breakers.HalfOpens)
-	reg.RegisterCounter("breaker_closes", &s.Breakers.Closes)
-	reg.RegisterFunc("breakers_open", func() int64 { return int64(s.Breakers.OpenCount()) })
-	reg.RegisterCounter("blocks_sealed", &s.Blocks.BlocksSealed)
-	reg.RegisterCounter("samples_sealed", &s.Blocks.SamplesSealed)
-	reg.RegisterCounter("bytes_sealed", &s.Blocks.BytesSealed)
-	reg.RegisterCounter("blocks_spilled", &s.Blocks.BlocksSpilled)
-	reg.RegisterCounter("spill_reads", &s.Blocks.SpillReads)
-	reg.RegisterCounter("block_scans", &s.Blocks.BlockScans)
-	reg.RegisterCounter("rollup_serves", &s.Blocks.RollupServes)
-	reg.RegisterCounter("blocks_expired", &s.Blocks.BlocksExpired)
-	reg.RegisterCounter("rollups_expired", &s.Blocks.RollupsExpired)
-	reg.RegisterFunc("blocks_hot_bytes", s.Blocks.HotBytes)
-	reg.RegisterCounter("compactor_passes", &s.Compactor.Passes)
-	reg.RegisterCounter("compactor_pass_errors", &s.Compactor.PassErrors)
+	s.Storage.RegisterMetrics(reg)
 	reg.RegisterCounter("writer_parks", &s.Writers.Parks)
 	reg.RegisterGauge("writer_parked", &s.Writers.Parked)
 	reg.RegisterFunc("detector_parks", func() int64 { return s.detectorStat(func(p *DetectorPool) int64 { return p.Parks.Value() }) })
@@ -749,22 +652,7 @@ func (s *System) ReadyChecks() []api.ReadyCheck {
 			}
 			return nil
 		}},
-		{Name: "storage", Check: func() error {
-			n := len(s.TSDB.Addrs())
-			if n == 0 {
-				return errors.New("no TSDs")
-			}
-			open := s.Breakers.OpenCount()
-			if open >= n {
-				return fmt.Errorf("all %d backend circuits open", open)
-			}
-			if open > 0 {
-				// Some backends are tripped but the tier still
-				// answers (failover, stale cache): degraded, not down.
-				return api.Degraded(fmt.Errorf("%d of %d backend circuits open", open, n))
-			}
-			return nil
-		}},
+		s.Storage.ReadyCheck(),
 		{Name: "detectors", Check: func() error {
 			s.mu.Lock()
 			attached := s.detGroup != nil
